@@ -122,15 +122,15 @@ def run_solve(config: RunConfig) -> int:
 
     have_exact = problem.exact is not None and problem.exact_deriv is not None
 
-    # coeffs.csv: one extra connection coefficient so every row has its a_n.
-    a_full = connection_recurrence(problem.lam, config.n_max + 1).a
+    # coeffs.csv: the basis carries a_0..a_{n_max}, one a_n per row.
+    a = sol.basis.connection.a
     rows = []
     for n in range(config.n_max + 1):
         r = sol.quad_report[n]
         rows.append(
             [
                 str(n),
-                _fmt(a_full[n]),
+                _fmt(a[n]),
                 _fmt(sol.g[n]),
                 _fmt(sol.fhat[n]),
                 _fmt(sol.basis.s[n]),

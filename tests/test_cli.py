@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lagsob import connection_recurrence
 from lagsob.cli import RunConfig, main, run_validate
 
 
@@ -98,6 +99,13 @@ class TestSolveCommand:
         )
         assert code == 0
         assert (tmp_path / "convergence.csv").exists()
+
+    def test_coeffs_a_n_column_is_the_connection_sequence(self, tmp_path):
+        code = main(["solve", "--f-expr", "exp(-x)*sin(x)", "--lambda", "2", "--nmax", "7",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "coeffs.csv")
+        assert [float(r[1]) for r in rows] == connection_recurrence(2.0, 8).a.tolist()
 
     def test_rational_decay_reports_quadrature_cap(self, tmp_path):
         code = main(["solve", "--problem", "rational-decay", "--nmax", "20",

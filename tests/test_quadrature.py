@@ -22,6 +22,14 @@ class TestRuleConstruction:
         assert r0.nodes == pytest.approx([1.0]) and r0.weights == pytest.approx([1.0])
         r1 = gauss_laguerre(1.0, 1)
         assert r1.nodes == pytest.approx([2.0]) and r1.weights == pytest.approx([1.0])
+        # The Jacobi eigenproblem of size one reproduces the closed form exactly:
+        # node = first moment ratio, weight = zeroth moment.
+        for alpha in (-0.5, 0.0, 0.5, 1.0, 2.5):
+            rule = gauss_laguerre(alpha, 1)
+            lg = math.lgamma(alpha + 1.0)
+            assert rule.nodes.tolist() == [alpha + 1.0]
+            assert rule.weights.tolist() == [math.exp(lg)]
+            assert rule.log_weights.tolist() == [lg]
 
     def test_two_point_closed_form(self):
         r = gauss_laguerre(0.0, 2)

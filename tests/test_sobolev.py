@@ -77,6 +77,14 @@ class TestConnectionSequence:
         lam = 1e6
         assert connection_recurrence(lam, 1).a[0] == pytest.approx(2.0 / (4.0 * lam + 2.0))
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_basis_carries_a_n_max(self, n):
+        # The basis holds a_0..a_{n_max}, the prefix of a longer recurrence run.
+        for lam in (0.5, 2.0):
+            basis_a = sobolev_basis(lam, n).connection.a
+            assert np.array_equal(basis_a, connection_recurrence(lam, n + 1).a)
+            assert np.array_equal(basis_a, connection_recurrence(lam, n + 10).a[: n + 1])
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             connection_recurrence(0.0, 5)

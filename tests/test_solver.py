@@ -5,6 +5,7 @@ arithmetic (the g(n) integrands have closed-form Laplace transforms), so the
 numbers below carry no quadrature error of their own.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,17 @@ def exp_solution():
 @pytest.fixture(scope="module")
 def rational_solution():
     return solve(builtin_problem("rational-decay"), n_max=20)
+
+
+def sobolev_deriv_all(basis, n, x):
+    """Reference table S_0'..S_n' at x: S_0' = 0, S_k' = -L_{k-1}^{(2)} - a_{k-1} S_{k-1}'."""
+    ds = np.zeros((n + 1,) + np.shape(x))
+    if n >= 1:
+        lag2 = laguerre_eval_all(LaguerreFamily(2.0), n - 1, x)
+        a = basis.connection.a
+        for k in range(1, n + 1):
+            ds[k] = -lag2[k - 1] - a[k - 1] * ds[k - 1]
+    return ds
 
 
 class TestBuiltinProblems:
@@ -314,7 +326,6 @@ class TestWeakFormReproduction:
         lam = sol.problem.lam
         rule1 = gauss_laguerre(1.0, 32)
         rule0 = gauss_laguerre(0.0, 32)
-        a = sol.basis.connection.a
         for n in (2, 5, 8):
             for k in range(n + 1):
                 def g1(x, n=n, k=k):
@@ -322,17 +333,35 @@ class TestWeakFormReproduction:
                     return lam * partial_sum(sol, n, x) * sk * np.exp(x / 2.0) / x
 
                 def g0(x, n=n, k=k):
-                    s_all = sobolev_eval_all(sol.basis, k, x)
-                    ds = np.zeros_like(s_all)
-                    if k >= 1:
-                        lag2 = laguerre_eval_all(LaguerreFamily(2.0), k - 1, x)
-                        for j in range(1, k + 1):
-                            ds[j] = -lag2[j - 1] - a[j - 1] * ds[j - 1]
-                    phi_deriv = s_all[k] * (1.0 - x / 2.0) + x * ds[k]
+                    sk = sobolev_eval_all(sol.basis, k, x)[k]
+                    phi_deriv = sk * (1.0 - x / 2.0) + x * sobolev_deriv_all(sol.basis, k, x)[k]
                     return partial_sum_deriv(sol, n, x) * phi_deriv * np.exp(x / 2.0)
 
                 lhs = integrate(rule1, g1) + integrate(rule0, g0)
                 assert lhs == pytest.approx(sol.fhat[k], rel=1e-8, abs=1e-10)
+
+
+class TestDerivativeAgainstReference:
+    """partial_sum_deriv against the summed reference S_k' table on [0, 500]."""
+
+    @pytest.fixture(scope="class")
+    def solution_200(self):
+        return solve(builtin_problem("exp-decay"), n_max=200)
+
+    @pytest.mark.parametrize("n", [0, 1, 20, 200])
+    @pytest.mark.parametrize("coefficients", ["solved", "random"])
+    def test_matches_reference_recursion(self, solution_200, n, coefficients):
+        sol = solution_200
+        if coefficients == "random":
+            uhat = np.random.default_rng(n).standard_normal(sol.n_max + 1)
+            sol = dataclasses.replace(sol, uhat=uhat)
+        x = np.linspace(0.0, 500.0, 20_000)
+        uh = sol.uhat[: n + 1]
+        s = np.tensordot(uh, sobolev_eval_all(sol.basis, n, x), axes=(0, 0))
+        ds = np.tensordot(uh, sobolev_deriv_all(sol.basis, n, x), axes=(0, 0))
+        ref = (s * (1.0 - x / 2.0) + ds * x) * np.exp(-x / 2.0)
+        got = partial_sum_deriv(sol, n, x)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestInstrumentation:

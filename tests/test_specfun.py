@@ -1,7 +1,8 @@
-"""Bessel J and log-gamma against scipy and closed-form oracles."""
+"""Bessel J and log-gamma against mpmath, scipy and closed-form oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -24,6 +25,13 @@ class TestBesselJ:
             assert bessel_j(alpha, float(z)) == pytest.approx(
                 float(special.jv(alpha, z)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.5])
+    def test_against_mpmath_on_certified_range(self, alpha):
+        with mpmath.workdps(30):
+            for z in np.linspace(0.0, 60.0, 121):
+                ref = float(mpmath.besselj(alpha, mpmath.mpf(float(z))))
+                assert bessel_j(alpha, float(z)) == pytest.approx(ref, abs=1e-12)
 
     def test_derivative_identity(self):
         # J0' = -J1, J0' from central differences

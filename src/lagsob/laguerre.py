@@ -86,7 +86,7 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     alpha = family.alpha
     xa = _check_finite_scalar_or_array(x)
-    out = np.zeros((n_max + 1,) + xa.shape)
+    out = np.empty((n_max + 1,) + xa.shape)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 1.0 + alpha - xa

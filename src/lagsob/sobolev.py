@@ -151,15 +151,17 @@ def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
 
 
 def sobolev_eval_all(basis: SobolevBasis, n: int, x):
-    """S_0(x)..S_n(x) by the forward connection recursion, one Laguerre pass."""
+    """S_0(x)..S_n(x) by the forward connection recursion, one Laguerre pass.
+
+    The recursion S_k = L_k^{(1)} - a_{k-1} S_{k-1} runs in place on the
+    Laguerre table, so only one (n+1) x len(x) array is formed.
+    """
     if not 0 <= n <= basis.n_max:
         raise ValueError(f"index must lie in [0, {basis.n_max}], got {n}")
-    lag = laguerre_eval_all(_L1, n, x)
-    out = np.zeros_like(lag)
-    out[0] = 1.0
+    out = laguerre_eval_all(_L1, n, x)
     a = basis.connection.a
     for k in range(1, n + 1):
-        out[k] = lag[k] - a[k - 1] * out[k - 1]
+        out[k] -= a[k - 1] * out[k - 1]
     return out
 
 

@@ -14,10 +14,12 @@ from lagsob import (
     gen_fun_sobolev,
     hardy_hille_check,
     laguerre_coeffs,
+    laguerre_eval_all,
     LaguerreFamily,
     sobolev_basis,
     sobolev_coeffs,
     sobolev_eval,
+    sobolev_eval_all,
     sobolev_inner_poly,
     sobolev_norm_sq,
 )
@@ -150,6 +152,18 @@ class TestSobolevPolynomials:
             resid -= sn
             resid[: sm.size] -= a[n - 1] * sm
             assert np.max(np.abs(resid)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 200])
+    @pytest.mark.parametrize("x", [2.5, np.linspace(0.0, 500.0, 2001)], ids=["scalar", "array"])
+    def test_in_place_table_matches_two_table_recursion(self, n, x):
+        # Same arithmetic in the same order, so the CLI CSVs stay byte-identical.
+        basis = sobolev_basis(1.0, 200)
+        lag = laguerre_eval_all(LaguerreFamily(1.0), n, x)
+        ref = np.zeros_like(lag)
+        ref[0] = 1.0
+        for k in range(1, n + 1):
+            ref[k] = lag[k] - basis.connection.a[k - 1] * ref[k - 1]
+        assert np.array_equal(sobolev_eval_all(basis, n, x), ref)
 
 
 class TestSobolevNorms:

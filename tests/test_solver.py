@@ -7,9 +7,13 @@ numbers below carry no quadrature error of their own.
 
 import dataclasses
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagsob import (
     BVProblem,
@@ -21,6 +25,7 @@ from lagsob import (
     laguerre_eval_all,
     partial_sum,
     partial_sum_deriv,
+    sobolev_basis,
     sobolev_error,
     sobolev_error_direct,
     sobolev_eval_all,
@@ -66,6 +71,11 @@ def rational_solution():
     return solve(builtin_problem("rational-decay"), n_max=20)
 
 
+@pytest.fixture(scope="module")
+def solution_200():
+    return solve(builtin_problem("exp-decay"), n_max=200)
+
+
 def sobolev_deriv_all(basis, n, x):
     """Reference table S_0'..S_n' at x: S_0' = 0, S_k' = -L_{k-1}^{(2)} - a_{k-1} S_{k-1}'."""
     ds = np.zeros((n + 1,) + np.shape(x))
@@ -75,6 +85,50 @@ def sobolev_deriv_all(basis, n, x):
         for k in range(1, n + 1):
             ds[k] = -lag2[k - 1] - a[k - 1] * ds[k - 1]
     return ds
+
+
+def reference_deriv(sol, n, x):
+    """partial_sum_deriv from the summed S_k and S_k' reference tables."""
+    uh = sol.uhat[: n + 1]
+    s = np.tensordot(uh, sobolev_eval_all(sol.basis, n, x), axes=(0, 0))
+    ds = np.tensordot(uh, sobolev_deriv_all(sol.basis, n, x), axes=(0, 0))
+    return (s * (1.0 - x / 2.0) + ds * x) * np.exp(-x / 2.0)
+
+
+def _mp_laguerre_all(alpha, n, x):
+    vals = [mpmath.mpf(1), 1 + alpha - x]
+    for k in range(1, n):
+        vals.append(((2 * k + 1 + alpha - x) * vals[k] - (k + alpha) * vals[k - 1]) / (k + 1))
+    return vals[: n + 1]
+
+
+def oracle_deriv(basis, uhat, n, x):
+    """partial_sum_deriv at one point in 40-digit arithmetic from the same a_k and uhat_k."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        lag1 = _mp_laguerre_all(1, n, x)
+        lag2 = _mp_laguerre_all(2, n, x)
+        u = [mpmath.mpf(float(v)) for v in uhat[: n + 1]]
+        s, ds = mpmath.mpf(1), mpmath.mpf(0)
+        total_s, total_ds = u[0], mpmath.mpf(0)
+        for k in range(1, n + 1):
+            a = mpmath.mpf(float(basis.connection.a[k - 1]))
+            s, ds = lag1[k] - a * s, -lag2[k - 1] - a * ds
+            total_s += u[k] * s
+            total_ds += u[k] * ds
+        return float((total_s * (1 - x / 2) + total_ds * x) * mpmath.exp(-x / 2))
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak tracemalloc-visible allocation while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuiltinProblems:
@@ -342,11 +396,11 @@ class TestWeakFormReproduction:
 
 
 class TestDerivativeAgainstReference:
-    """partial_sum_deriv against the summed reference S_k' table on [0, 500]."""
+    """partial_sum_deriv against the summed reference S_k' table and a 40-digit oracle."""
 
     @pytest.fixture(scope="class")
-    def solution_200(self):
-        return solve(builtin_problem("exp-decay"), n_max=200)
+    def solution_237(self):
+        return solve(builtin_problem("exp-decay"), n_max=237)
 
     @pytest.mark.parametrize("n", [0, 1, 20, 200])
     @pytest.mark.parametrize("coefficients", ["solved", "random"])
@@ -356,12 +410,91 @@ class TestDerivativeAgainstReference:
             uhat = np.random.default_rng(n).standard_normal(sol.n_max + 1)
             sol = dataclasses.replace(sol, uhat=uhat)
         x = np.linspace(0.0, 500.0, 20_000)
-        uh = sol.uhat[: n + 1]
-        s = np.tensordot(uh, sobolev_eval_all(sol.basis, n, x), axes=(0, 0))
-        ds = np.tensordot(uh, sobolev_deriv_all(sol.basis, n, x), axes=(0, 0))
-        ref = (s * (1.0 - x / 2.0) + ds * x) * np.exp(-x / 2.0)
+        ref = reference_deriv(sol, n, x)
         got = partial_sum_deriv(sol, n, x)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [0, 200])
+    def test_builds_no_evaluation_table(self, solution_200, n, monkeypatch):
+        x = np.linspace(0.0, 500.0, 2_000)
+        ref = reference_deriv(solution_200, n, x)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("partial_sum_deriv built an (n+1) x len(x) table")
+
+        monkeypatch.setattr("lagsob.solver.sobolev_eval_all", forbidden)
+        monkeypatch.setattr("lagsob.solver.laguerre_eval_all", forbidden)
+        got = partial_sum_deriv(solution_200, n, x)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [0, 200])
+    @pytest.mark.parametrize(
+        "x",
+        [3.7, np.array(3.7), np.linspace(0.0, 40.0, 7), np.linspace(0.0, 500.0, 15).reshape(3, 5)],
+        ids=["scalar", "0-d", "1-d", "2-d"],
+    )
+    def test_shape_contract(self, solution_200, n, x):
+        got = partial_sum_deriv(solution_200, n, x)
+        if np.ndim(x) == 0:
+            assert isinstance(got, float)
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+        ref = reference_deriv(solution_200, n, np.asarray(x))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [200, 237])
+    def test_largest_orders_finite_to_x_1000(self, solution_237, n):
+        # 237 is the largest n_max that solve() reaches before L_n^{(1)} overflows.
+        x = np.linspace(0.0, 1000.0, 40_001)
+        got = partial_sum_deriv(solution_237, n, x)
+        assert np.all(np.isfinite(got))
+        inside = x <= 500.0
+        ref = reference_deriv(solution_237, n, x[inside])
+        assert np.max(np.abs(got[inside] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_accurate_next_to_the_origin(self, solution_200, seed):
+        # Near x = 0 the three-term Clenshaw form and the forward tables both
+        # err by 1e-13 to 3e-13 of max|ref| here; the difference form stays
+        # below 3e-15.
+        uhat = np.random.default_rng(seed).standard_normal(201)
+        sol = dataclasses.replace(solution_200, uhat=uhat)
+        x = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
+        ref = np.array([oracle_deriv(sol.basis, uhat, 200, xi) for xi in x])
+        got = partial_sum_deriv(sol, 200, x)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    # The oracle, not the float reference tables: on grids inside [0, 1e-3]
+    # the forward recursion behind sobolev_eval_all itself errs by up to
+    # ~4e-13 of max|ref| at n = 200, which would fail a 1e-13 bound.
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 1e3),
+        x=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=4),
+    )
+    def test_random_coefficients_match_mpmath_oracle(self, solution_200, n, seed, lam, x):
+        basis = sobolev_basis(lam, 200)
+        uhat = np.random.default_rng(seed).standard_normal(201)
+        sol = dataclasses.replace(solution_200, basis=basis, uhat=uhat)
+        x = np.array([0.0] + x)  # x = 0 keeps max|ref| from resting on one near-root
+        ref = np.array([oracle_deriv(basis, uhat, n, xi) for xi in x])
+        got = partial_sum_deriv(sol, n, x)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestEvaluationMemory:
+    """tracemalloc peaks at n = 200 on 20,000 points (exact, unlike RSS)."""
+
+    x = np.linspace(0.0, 500.0, 20_000)
+
+    def test_derivative_stays_within_sixteen_vectors(self, solution_200):
+        assert traced_peak_bytes(partial_sum_deriv, solution_200, 200, self.x) <= 16 * self.x.size * 8
+
+    def test_sobolev_table_is_built_once(self, solution_200):
+        peak = traced_peak_bytes(sobolev_eval_all, solution_200.basis, 200, self.x)
+        assert peak <= 1.25 * 201 * self.x.size * 8
 
 
 class TestInstrumentation:

@@ -31,9 +31,10 @@ for n in range(5):
 
 print("\nConnection coefficients, recurrence vs closed ratio form:")
 print(f"  {'n':>4} {'a_n (recurrence)':>20} {'a_n (ratio)':>20} {'1 - 2 sqrt(lam/n)':>20}")
+a_ratio = connection_ratio(lam, 10)
 for n in range(10):
     a_rec = basis.connection.a[n]
-    a_rat = connection_ratio(lam, n)
+    a_rat = a_ratio[n]
     asym = connection_asymptotic(lam, n) if n >= 1 else float("nan")
     print(f"  {n:>4} {a_rec:>20.15f} {a_rat:>20.15f} {asym:>20.15f}")
 

@@ -67,7 +67,7 @@ from .solver import (
     sobolev_error_direct,
     solve,
 )
-from .specfun import bessel_j, log_gamma
+from .specfun import bessel_j
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "laguerre_eval",
     "laguerre_eval_all",
     "laguerre_norm_sq",
-    "log_gamma",
     "parse",
     "parse_expression",
     "partial_sum",

@@ -15,9 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -30,10 +28,19 @@ from .sobolev import (
     sobolev_coeffs,
     sobolev_eval_all,
 )
-from .solver import BVProblem, builtin_problem, partial_sum, sobolev_error, solve
+from .solver import (
+    DEFAULT_N_MAX,
+    DEFAULT_QUAD_M0,
+    DEFAULT_QUAD_TOL,
+    BVProblem,
+    builtin_problem,
+    partial_sum,
+    sobolev_error,
+    solve,
+)
 from .validation import run_suites
 
-__all__ = ["RunConfig", "main", "run_solve", "run_coeffs", "run_basis", "run_validate"]
+__all__ = ["main", "run_solve", "run_coeffs", "run_basis", "run_validate"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,23 +50,6 @@ EXIT_QUADRATURE = 3
 ENV_OUT_DIR = "LAGSOB_OUT_DIR"
 
 COEFF_MODE_LIMIT = 30
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lam: float = 1.0
-    n_max: int = 20
-    quad_m0: int = 32
-    quad_tol: float = 1e-12
-    problem: Optional[str] = None
-    f_expr: Optional[str] = None
-    u_expr: Optional[str] = None
-    du_expr: Optional[str] = None
-    x_min: float = 0.0
-    x_max: float = 20.0
-    count: int = 401
-    out_dir: Path = field(default_factory=Path.cwd)
 
 
 def _fmt(v: float) -> str:
@@ -79,53 +69,53 @@ def _config_error(message: str) -> int:
     return EXIT_CONFIG
 
 
-def _make_problem(config: RunConfig):
+def _make_problem(args):
     """BVProblem from --problem or --f-expr (plus optional exact solution)."""
-    if (config.problem is None) == (config.f_expr is None):
+    if (args.problem is None) == (args.f_expr is None):
         raise ValueError("exactly one of --problem and --f-expr must be given")
-    if config.problem is not None:
-        return builtin_problem(config.problem)
+    if args.problem is not None:
+        return builtin_problem(args.problem)
     try:
-        rhs = to_callable(parse_expression(config.f_expr))
+        rhs = to_callable(parse_expression(args.f_expr))
     except ExpressionError as exc:
         raise ValueError(f"--f-expr: {exc}")
     exact = exact_deriv = None
-    if config.u_expr is not None:
-        if config.du_expr is None:
+    if args.u_expr is not None:
+        if args.du_expr is None:
             raise ValueError("--u-expr requires --du-expr for error reporting")
         try:
-            exact = to_callable(parse_expression(config.u_expr))
+            exact = to_callable(parse_expression(args.u_expr))
         except ExpressionError as exc:
             raise ValueError(f"--u-expr: {exc}")
         try:
-            exact_deriv = to_callable(parse_expression(config.du_expr))
+            exact_deriv = to_callable(parse_expression(args.du_expr))
         except ExpressionError as exc:
             raise ValueError(f"--du-expr: {exc}")
     return BVProblem(
-        lam=config.lam, rhs=rhs, exact=exact, exact_deriv=exact_deriv, label="custom"
+        lam=args.lam, rhs=rhs, exact=exact, exact_deriv=exact_deriv, label="custom"
     )
 
 
-def run_solve(config: RunConfig) -> int:
+def run_solve(args) -> int:
     try:
-        problem = _make_problem(config)
+        problem = _make_problem(args)
     except ValueError as exc:
         return _config_error(str(exc))
-    if config.problem is not None and config.lam != problem.lam:
+    if args.problem is not None and args.lam != problem.lam:
         return _config_error(
-            f"--problem {config.problem} fixes --lambda {problem.lam:g} "
+            f"--problem {args.problem} fixes --lambda {problem.lam:g} "
             f"(its attached exact solution depends on it)"
         )
 
-    sol = solve(problem, n_max=config.n_max, quad_m0=config.quad_m0, quad_tol=config.quad_tol)
-    out = Path(config.out_dir)
+    sol = solve(problem, n_max=args.n_max, quad_m0=args.quad_m0, quad_tol=args.quad_tol)
+    out = args.out_dir
 
     have_exact = problem.exact is not None and problem.exact_deriv is not None
 
     # coeffs.csv: the basis carries a_0..a_{n_max}, one a_n per row.
     a = sol.basis.connection.a
     rows = []
-    for n in range(config.n_max + 1):
+    for n in range(args.n_max + 1):
         r = sol.quad_report[n]
         rows.append(
             [
@@ -141,24 +131,24 @@ def run_solve(config: RunConfig) -> int:
     _write_csv(out / "coeffs.csv", "n,a_n,g_n,f_n,s_n,uhat_n,quad_tol_achieved", rows)
 
     # solution.csv on the sample grid.
-    grid = np.linspace(config.x_min, config.x_max, config.count)
-    approx = partial_sum(sol, config.n_max, grid)
+    grid = np.linspace(args.x_min, args.x_max, args.count)
+    approx = partial_sum(sol, args.n_max, grid)
     if have_exact:
         exact_vals = np.asarray(problem.exact(grid), dtype=float)
-        header = f"x,approx_{config.n_max},u_exact,abs_err"
+        header = f"x,approx_{args.n_max},u_exact,abs_err"
         rows = [
             [_fmt(x), _fmt(a), _fmt(u), _fmt(abs(a - u))]
             for x, a, u in zip(grid, approx, exact_vals)
         ]
     else:
-        header = f"x,approx_{config.n_max}"
+        header = f"x,approx_{args.n_max}"
         rows = [[_fmt(x), _fmt(a)] for x, a in zip(grid, approx)]
     _write_csv(out / "solution.csv", header, rows)
 
     # convergence.csv needs the exact solution.
     eps = None
     if have_exact:
-        eps = [sobolev_error(sol, n) for n in range(config.n_max + 1)]
+        eps = [sobolev_error(sol, n) for n in range(args.n_max + 1)]
         rows = [
             [str(n), _fmt(e), _fmt(math.log10(e)) if e > 0.0 else "-inf"]
             for n, e in enumerate(eps)
@@ -168,10 +158,10 @@ def run_solve(config: RunConfig) -> int:
     quad_ok = sol.quad_converged and all(r.converged for r in sol.norm_report.values())
 
     label = problem.label or "custom"
-    print(f"problem {label}: lam={problem.lam:g}, n_max={config.n_max}")
-    print(f"  uhat_0 = {sol.uhat[0]:.12g}, uhat_{config.n_max} = {sol.uhat[config.n_max]:.12g}")
+    print(f"problem {label}: lam={problem.lam:g}, n_max={args.n_max}")
+    print(f"  uhat_0 = {sol.uhat[0]:.12g}, uhat_{args.n_max} = {sol.uhat[args.n_max]:.12g}")
     if eps is not None:
-        print(f"  eps_0 = {eps[0]:.6e}, eps_{config.n_max} = {eps[config.n_max]:.6e}")
+        print(f"  eps_0 = {eps[0]:.6e}, eps_{args.n_max} = {eps[args.n_max]:.6e}")
     worst = max(r.achieved_tol for r in sol.quad_report)
     print(f"  quadrature: worst achieved tolerance {worst:.3e} "
           f"({'converged' if quad_ok else 'NOT converged at cap'})")
@@ -180,52 +170,52 @@ def run_solve(config: RunConfig) -> int:
     return EXIT_OK if quad_ok else EXIT_QUADRATURE
 
 
-def run_coeffs(config: RunConfig) -> int:
-    a_rec = connection_recurrence(config.lam, config.n_max + 1).a
+def run_coeffs(args) -> int:
+    a_rec = connection_recurrence(args.lam, args.n_max + 1).a
+    a_rat = connection_ratio(args.lam, args.n_max + 1)
     rows = []
-    for n in range(config.n_max + 1):
-        a_rat = connection_ratio(config.lam, n)
-        asym = connection_asymptotic(config.lam, n) if n >= 1 else math.nan
+    for n in range(args.n_max + 1):
+        asym = connection_asymptotic(args.lam, n) if n >= 1 else math.nan
         rows.append(
-            [str(n), _fmt(a_rec[n]), _fmt(a_rat), _fmt(abs(a_rec[n] - a_rat)), _fmt(asym)]
+            [str(n), _fmt(a_rec[n]), _fmt(a_rat[n]), _fmt(abs(a_rec[n] - a_rat[n])), _fmt(asym)]
         )
-    out = Path(config.out_dir)
+    out = args.out_dir
     _write_csv(out / "an_table.csv", "n,a_rec,a_ratio,abs_diff,a_asymptotic", rows)
-    print(f"wrote {out / 'an_table.csv'} ({config.n_max + 1} rows, lam={config.lam:g})")
+    print(f"wrote {out / 'an_table.csv'} ({args.n_max + 1} rows, lam={args.lam:g})")
     return EXIT_OK
 
 
-def run_basis(config: RunConfig) -> int:
-    if config.n_max > COEFF_MODE_LIMIT:
+def run_basis(args) -> int:
+    if args.n_max > COEFF_MODE_LIMIT:
         return _config_error(
-            f"--nmax {config.n_max} exceeds coefficient mode limit {COEFF_MODE_LIMIT}; "
+            f"--nmax {args.n_max} exceeds coefficient mode limit {COEFF_MODE_LIMIT}; "
             f"sample larger bases pointwise via 'solve' outputs instead"
         )
-    basis = sobolev_basis(config.lam, config.n_max)
-    out = Path(config.out_dir)
+    basis = sobolev_basis(args.lam, args.n_max)
+    out = args.out_dir
 
-    header = "n," + ",".join(f"c{k}" for k in range(config.n_max + 1))
+    header = "n," + ",".join(f"c{k}" for k in range(args.n_max + 1))
     rows = []
-    for n in range(config.n_max + 1):
+    for n in range(args.n_max + 1):
         c = sobolev_coeffs(basis, n).coeffs
-        padded = [_fmt(v) for v in c] + [""] * (config.n_max - n)
+        padded = [_fmt(v) for v in c] + [""] * (args.n_max - n)
         rows.append([str(n)] + padded)
     _write_csv(out / "basis_coeffs.csv", header, rows)
 
-    grid = np.linspace(config.x_min, config.x_max, config.count)
-    vals = sobolev_eval_all(basis, config.n_max, grid)
-    header = "x," + ",".join(f"S{k}" for k in range(config.n_max + 1))
+    grid = np.linspace(args.x_min, args.x_max, args.count)
+    vals = sobolev_eval_all(basis, args.n_max, grid)
+    header = "x," + ",".join(f"S{k}" for k in range(args.n_max + 1))
     rows = [
-        [_fmt(x)] + [_fmt(vals[k, i]) for k in range(config.n_max + 1)]
+        [_fmt(x)] + [_fmt(vals[k, i]) for k in range(args.n_max + 1)]
         for i, x in enumerate(grid)
     ]
     _write_csv(out / "basis_samples.csv", header, rows)
-    print(f"wrote {out / 'basis_coeffs.csv'} and {out / 'basis_samples.csv'} (lam={config.lam:g})")
+    print(f"wrote {out / 'basis_coeffs.csv'} and {out / 'basis_samples.csv'} (lam={args.lam:g})")
     return EXIT_OK
 
 
-def run_validate(config: RunConfig, perturb_a0: float = 0.0) -> int:
-    results = run_suites(config.lam, perturb_a0=perturb_a0)
+def run_validate(args) -> int:
+    results = run_suites(args.lam)
     width = max(len(name) for name, _, _ in results)
     failed = []
     for name, ok, detail in results:
@@ -235,7 +225,7 @@ def run_validate(config: RunConfig, perturb_a0: float = 0.0) -> int:
     if failed:
         print(f"validation failed: {failed[0]}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(f"all {len(results)} suites passed (lam={config.lam:g})")
+    print(f"all {len(results)} suites passed (lam={args.lam:g})")
     return EXIT_OK
 
 
@@ -247,25 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False):
+    def common(p, grid=False, nmax=True):
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                       help="potential strength lambda > 0 (default 1)")
-        p.add_argument("--nmax", "--n-max", dest="n_max", type=int, default=20,
-                       help="highest basis index (default 20)")
+                       help="potential strength lambda > 0 (default %(default)s)")
+        if nmax:
+            p.add_argument("--nmax", "--n-max", dest="n_max", type=int, default=DEFAULT_N_MAX,
+                           help="highest basis index (default %(default)s)")
         p.add_argument("--out-dir", dest="out_dir", type=Path, default=None,
                        help=f"output directory (default cwd; env {ENV_OUT_DIR} overrides)")
         if grid:
             p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
             p.add_argument("--x-max", dest="x_max", type=float, default=20.0)
             p.add_argument("--count", dest="count", type=int, default=401,
-                           help="number of sample-grid points (default 401)")
+                           help="number of sample-grid points (default %(default)s)")
 
     p_solve = sub.add_parser("solve", help="solve a boundary value problem")
     common(p_solve, grid=True)
-    p_solve.add_argument("--quad-m0", dest="quad_m0", type=int, default=32,
-                         help="initial quadrature size (default 32)")
-    p_solve.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-12,
-                         help="quadrature doubling tolerance (default 1e-12)")
+    p_solve.add_argument("--quad-m0", dest="quad_m0", type=int, default=DEFAULT_QUAD_M0,
+                         help="initial quadrature size (default %(default)s)")
+    p_solve.add_argument("--quad-tol", dest="quad_tol", type=float, default=DEFAULT_QUAD_TOL,
+                         help="quadrature doubling tolerance (default %(default)s)")
     p_solve.add_argument("--problem", choices=["exp-decay", "rational-decay"],
                          help="builtin problem name")
     p_solve.add_argument("--f-expr", dest="f_expr", help="right-hand side f(x) as an expression")
@@ -279,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_basis, grid=True)
 
     p_validate = sub.add_parser("validate", help="run the identity validation suites")
-    common(p_validate)
+    common(p_validate, nmax=False)
 
     return parser
 
@@ -293,35 +284,25 @@ def _resolve_out_dir(args) -> Path:
     return Path.cwd()
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, lam=args.lam, n_max=args.n_max,
-                    out_dir=_resolve_out_dir(args))
-    for name in ("quad_m0", "quad_tol", "problem", "f_expr", "u_expr", "du_expr",
-                 "x_min", "x_max", "count"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.out_dir = _resolve_out_dir(args)
     try:
-        config = config_from_args(args)
-        if config.lam <= 0.0:
+        if args.lam <= 0.0:
             return _config_error("--lambda must be > 0")
-        if config.n_max < 0:
+        if getattr(args, "n_max", 0) < 0:
             return _config_error("--nmax must be >= 0")
-        if config.command == "solve":
-            return run_solve(config)
-        if config.command == "coeffs":
-            return run_coeffs(config)
-        if config.command == "basis":
-            return run_basis(config)
-        if config.command == "validate":
-            return run_validate(config)
+        if args.command == "solve":
+            return run_solve(args)
+        if args.command == "coeffs":
+            return run_coeffs(args)
+        if args.command == "basis":
+            return run_basis(args)
+        if args.command == "validate":
+            return run_validate(args)
     except ValueError as exc:
         return _config_error(str(exc))
-    raise AssertionError(f"unhandled command {config.command!r}")
+    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _L1 = LaguerreFamily(1.0)
+_RESCALE_AT = 2.0**512
 
 
 def _check_lam(lam: float) -> float:
@@ -87,17 +88,28 @@ def connection_recurrence(lam: float, n_max: int) -> ConnectionSequence:
     return ConnectionSequence(lam=lam, a=a)
 
 
-def connection_ratio(lam: float, n: int) -> float:
-    """Closed form a_n = (n+2)/(n+1) * L_n^{(1)}(-4 lam) / L_{n+1}^{(1)}(-4 lam).
+def connection_ratio(lam: float, n_max: int) -> np.ndarray:
+    """Closed form a_n = (n+2)/(n+1) * L_n^{(1)}(-4 lam) / L_{n+1}^{(1)}(-4 lam), n < n_max.
 
-    At negative arguments every recurrence term is positive, so the direct
-    evaluation is well conditioned for any n of practical size.
+    One forward sweep of the alpha=1 recurrence at -4 lam gives the whole
+    sequence; at negative arguments every term is positive, so the sweep is
+    well conditioned.  The arithmetic is that of laguerre_eval_all.  Once
+    L_{n+1} passes 2^512 both carried values are scaled by 2^-512, which is
+    exact and leaves every ratio unchanged, so large lam*n cannot overflow.
     """
     lam = _check_lam(lam)
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    vals = laguerre_eval_all(_L1, n + 1, -4.0 * lam)
-    return (n + 2.0) / (n + 1.0) * float(vals[n]) / float(vals[n + 1])
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    x = -4.0 * lam
+    a = np.empty(n_max)
+    lo, hi = 1.0, 2.0 - x  # L_0 and L_1 at x
+    for n in range(n_max):
+        if n:
+            lo, hi = hi, ((2 * n + 2.0 - x) * hi - (n + 1.0) * lo) / (n + 1)
+        if hi > _RESCALE_AT:
+            lo, hi = math.ldexp(lo, -512), math.ldexp(hi, -512)
+        a[n] = (n + 2.0) / (n + 1.0) * lo / hi
+    return a
 
 
 def connection_asymptotic(lam: float, n: int) -> float:

@@ -1,4 +1,4 @@
-"""Minimal special-function kernel: Bessel J of the first kind and log-gamma.
+"""Minimal special-function kernel: Bessel J of the first kind.
 
 The generating-function identities need J_alpha to absolute accuracy 1e-12 on
 [0, 60].  scipy's jv (cephes/AMOS) meets that on the whole range: against a
@@ -12,16 +12,9 @@ import math
 
 from scipy import special
 
-__all__ = ["bessel_j", "log_gamma"]
+__all__ = ["bessel_j"]
 
 Z_MAX = 60.0
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def bessel_j(alpha: float, z: float) -> float:

@@ -21,9 +21,6 @@ from .laguerre import (
 )
 from .quadrature import gauss_laguerre
 from .sobolev import (
-    ConnectionSequence,
-    SobolevBasis,
-    _norm_recurrence,
     alternating_sum_check,
     connection_ratio,
     connection_recurrence,
@@ -120,30 +117,20 @@ def _suite_gram_laguerre(lam):
 
 def _suite_connection(lam):
     n_top = 200
-    conn = connection_recurrence(lam, n_top + 1)
-    worst = 0.0
-    for n in range(n_top + 1):
-        a_rec = conn.a[n]
-        a_rat = connection_ratio(lam, n)
-        worst = max(worst, abs(a_rec - a_rat) / a_rat)
-        if not (0.0 < a_rec < 1.0 and a_rec < (n + 2) / (4 * lam + n + 2) + 1e-15):
-            return False, f"bound violated at n={n}: a={a_rec!r}"
+    a_rec = connection_recurrence(lam, n_top + 1).a
+    a_rat = connection_ratio(lam, n_top + 1)
+    n = np.arange(n_top + 1)
+    in_bounds = (a_rec > 0.0) & (a_rec < 1.0) & (a_rec < (n + 2) / (4 * lam + n + 2) + 1e-15)
+    bad = np.flatnonzero(~in_bounds)
+    if bad.size:
+        return False, f"bound violated at n={bad[0]}: a={a_rec[bad[0]]!r}"
+    worst = float(np.max(np.abs(a_rec - a_rat) / a_rat))
     return worst <= 1e-12, f"max recurrence/ratio mismatch {worst:.2e} (tol 1e-12)"
 
 
-def _perturbed_basis(lam: float, n_max: int, delta_a0: float) -> SobolevBasis:
-    basis = sobolev_basis(lam, n_max)
-    if delta_a0 == 0.0:
-        return basis
-    a = basis.connection.a.copy()
-    a[0] += delta_a0
-    conn = ConnectionSequence(lam=lam, a=a)
-    return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, a, n_max))
-
-
-def _suite_sobolev_gram(lam, delta_a0=0.0):
+def _suite_sobolev_gram(lam):
     n_max = 10
-    basis = _perturbed_basis(lam, n_max, delta_a0)
+    basis = sobolev_basis(lam, n_max)
     polys = [sobolev_coeffs(basis, n) for n in range(n_max + 1)]
     m = n_max + 2
     off_max = 0.0
@@ -207,16 +194,6 @@ _SUITES = [
 SUITE_NAMES = [name for name, _ in _SUITES]
 
 
-def run_suites(lam: float = 1.0, perturb_a0: float = 0.0):
-    """Run every suite; yields (name, passed, detail).
-
-    perturb_a0 is a fault-injection hook for the Sobolev Gram suite (used by
-    tests to confirm the suite actually has teeth); leave it at 0.
-    """
-    results = []
-    for name, fn in _SUITES:
-        if name == "sobolev-gram":
-            results.append((name, *fn(lam, perturb_a0)))
-        else:
-            results.append((name, *fn(lam)))
-    return results
+def run_suites(lam: float = 1.0):
+    """Run every suite; returns a list of (name, passed, detail)."""
+    return [(name, *fn(lam)) for name, fn in _SUITES]

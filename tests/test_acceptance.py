@@ -76,9 +76,9 @@ def test_connection_cross_validation():
         conn = lg.connection_recurrence(lam, 201)
         assert conn.a[0] == pytest.approx(1.0 / (2.0 * lam + 1.0), abs=1e-15)
         assert np.all((conn.a > 0.0) & (conn.a < 1.0))
+        ratio = lg.connection_ratio(lam, 201)
         for n in range(201):
-            ratio = lg.connection_ratio(lam, n)
-            assert abs(conn.a[n] - ratio) <= 1e-12 * ratio
+            assert abs(conn.a[n] - ratio[n]) <= 1e-12 * ratio[n]
 
 
 @criterion(3, "connection coefficient asymptotics")

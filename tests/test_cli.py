@@ -6,8 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from lagsob import connection_recurrence
-from lagsob.cli import RunConfig, main, run_validate
+from lagsob import (
+    ConnectionSequence,
+    SobolevBasis,
+    connection_ratio,
+    connection_recurrence,
+    sobolev_basis,
+)
+from lagsob.cli import main
+from lagsob.sobolev import _norm_recurrence
 
 
 def read_csv(path: Path):
@@ -144,6 +151,36 @@ class TestCoeffsCommand:
         _, rows = read_csv(tmp_path / "an_table.csv")
         assert float(rows[0][1]) == pytest.approx(1.0 / 5.0, abs=1e-15)
 
+    def test_large_lambda_stays_finite(self, tmp_path):
+        # L_n^{(1)}(-4000) leaves double range from n = 170 on; the ratio
+        # column must not.  a_asymptotic is nan by definition at n = 0 only.
+        assert main(["coeffs", "--lambda", "1000", "--nmax", "400",
+                     "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "an_table.csv")
+        assert len(rows) == 401
+        for r in rows:
+            a_rec, a_rat, diff = (float(v) for v in r[1:4])
+            assert all(math.isfinite(v) for v in (a_rec, a_rat, diff))
+            assert diff <= 1e-10 * a_rec
+        assert all(math.isfinite(float(r[4])) for r in rows[1:])
+
+    def test_one_ratio_sweep_per_run(self, tmp_path, monkeypatch):
+        # coeffs and the validate connection suite each take the whole
+        # closed-form sequence from one call, not one call per index.
+        calls = []
+
+        def spy(lam, n_max):
+            calls.append(n_max)
+            return connection_ratio(lam, n_max)
+
+        monkeypatch.setattr("lagsob.cli.connection_ratio", spy)
+        monkeypatch.setattr("lagsob.validation.connection_ratio", spy)
+        assert main(["coeffs", "--nmax", "200", "--out-dir", str(tmp_path)]) == 0
+        assert calls == [201]
+        calls.clear()
+        assert main(["validate"]) == 0
+        assert calls == [201]
+
 
 class TestBasisCommand:
     def test_printed_coefficients(self, tmp_path):
@@ -174,11 +211,24 @@ class TestValidateCommand:
     def test_other_lambda_passes(self):
         assert main(["validate", "--lambda", "2"]) == 0
 
-    def test_fault_injection_trips_gram_suite(self, capsys):
-        config = RunConfig(command="validate", lam=1.0)
-        assert run_validate(config, perturb_a0=1e-6) == 1
+    def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
+        # a_0 off by 1e-6, norms recomputed from the shifted sequence.
+        def shifted_basis(lam, n_max):
+            a = sobolev_basis(lam, n_max).connection.a.copy()
+            a[0] += 1e-6
+            conn = ConnectionSequence(lam=lam, a=a)
+            return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, a, n_max))
+
+        monkeypatch.setattr("lagsob.validation.sobolev_basis", shifted_basis)
+        assert main(["validate"]) == 1
         out = capsys.readouterr()
         assert "sobolev-gram" in out.err
+
+    def test_rejects_nmax(self):
+        # validate runs fixed-size suites; --nmax is not one of its options.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--nmax", "5"])
+        assert exc.value.code == 2
 
 
 class TestEnvironment:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,9 +57,30 @@ class TestConnectionSequence:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_recurrence_matches_ratio_formula(self, lam):
         a = connection_recurrence(lam, 201).a
+        ratio = connection_ratio(lam, 201)
         for n in range(201):
-            ratio = connection_ratio(lam, n)
-            assert abs(a[n] - ratio) <= 1e-12 * ratio
+            assert abs(a[n] - ratio[n]) <= 1e-12 * ratio[n]
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.01, 1.0, 3.0, 100.0])
+    def test_ratio_is_one_sweep_of_the_laguerre_table(self, lam):
+        # The sweep repeats the arithmetic of laguerre_eval_all exactly.
+        lag = laguerre_eval_all(LaguerreFamily(1.0), 201, -4.0 * lam)
+        n = np.arange(201)
+        expected = (n + 2.0) / (n + 1.0) * lag[:-1] / lag[1:]
+        assert np.array_equal(connection_ratio(lam, 201), expected)
+
+    def test_ratio_survives_laguerre_overflow(self):
+        # L_n^{(1)}(-4000) leaves double range at n = 170; the ratios do not.
+        lam = 1000.0
+        ratio = connection_ratio(lam, 401)
+        assert np.all(np.isfinite(ratio))
+        with mpmath.workdps(40):
+            for n in (0, 50, 168, 169, 250, 400):
+                ref = (
+                    mpmath.mpf(n + 2) / (n + 1)
+                    * mpmath.laguerre(n, 1, -4 * lam) / mpmath.laguerre(n + 1, 1, -4 * lam)
+                )
+                assert abs(ratio[n] - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_bounds_and_residual(self, lam):
@@ -72,8 +94,10 @@ class TestConnectionSequence:
 
     def test_ratio_small_cases(self):
         # L_1^{(1)}(-4) = 6 and L_2^{(1)}(-4) = 23
-        assert connection_ratio(1.0, 0) == pytest.approx(2.0 / 6.0, abs=1e-15)
-        assert connection_ratio(1.0, 1) == pytest.approx(1.5 * 6.0 / 23.0, abs=1e-15)
+        ratio = connection_ratio(1.0, 2)
+        assert ratio.shape == (2,)
+        assert ratio[0] == pytest.approx(2.0 / 6.0, abs=1e-15)
+        assert ratio[1] == pytest.approx(1.5 * 6.0 / 23.0, abs=1e-15)
 
     def test_large_lam_limit(self):
         lam = 1e6
@@ -94,6 +118,10 @@ class TestConnectionSequence:
             connection_recurrence(-1.0, 5)
         with pytest.raises(ValueError):
             connection_recurrence(1.0, 0)
+        with pytest.raises(ValueError):
+            connection_ratio(0.0, 5)
+        with pytest.raises(ValueError):
+            connection_ratio(1.0, 0)
 
 
 class TestAsymptotics:

@@ -1,13 +1,11 @@
-"""Bessel J and log-gamma against mpmath, scipy and closed-form oracles."""
-
-import math
+"""Bessel J against mpmath, scipy and closed-form oracles."""
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from lagsob import bessel_j, log_gamma
+from lagsob import bessel_j
 
 
 class TestBesselJ:
@@ -52,23 +50,3 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(-0.5, 1.0)
 
-
-class TestLogGamma:
-    def test_exact_integers(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_product_form_oracle(self):
-        # Gamma(4.5) = 3.5 * 2.5 * 1.5 * 0.5 * sqrt(pi)
-        expected = math.log(3.5 * 2.5 * 1.5 * 0.5 * math.sqrt(math.pi))
-        assert log_gamma(4.5) == pytest.approx(expected, rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.5, 1.5, 7.0, 100.0])
-    def test_recursion(self, x):
-        assert log_gamma(x + 1.0) - log_gamma(x) == pytest.approx(math.log(x), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.0)

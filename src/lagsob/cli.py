@@ -69,28 +69,26 @@ def _config_error(message: str) -> int:
     return EXIT_CONFIG
 
 
+def _expression(flag: str, text: str):
+    try:
+        return to_callable(parse_expression(text))
+    except ExpressionError as exc:
+        raise ValueError(f"{flag}: {exc}")
+
+
 def _make_problem(args):
     """BVProblem from --problem or --f-expr (plus optional exact solution)."""
     if (args.problem is None) == (args.f_expr is None):
         raise ValueError("exactly one of --problem and --f-expr must be given")
     if args.problem is not None:
         return builtin_problem(args.problem)
-    try:
-        rhs = to_callable(parse_expression(args.f_expr))
-    except ExpressionError as exc:
-        raise ValueError(f"--f-expr: {exc}")
+    rhs = _expression("--f-expr", args.f_expr)
     exact = exact_deriv = None
     if args.u_expr is not None:
         if args.du_expr is None:
             raise ValueError("--u-expr requires --du-expr for error reporting")
-        try:
-            exact = to_callable(parse_expression(args.u_expr))
-        except ExpressionError as exc:
-            raise ValueError(f"--u-expr: {exc}")
-        try:
-            exact_deriv = to_callable(parse_expression(args.du_expr))
-        except ExpressionError as exc:
-            raise ValueError(f"--du-expr: {exc}")
+        exact = _expression("--u-expr", args.u_expr)
+        exact_deriv = _expression("--du-expr", args.du_expr)
     return BVProblem(
         lam=args.lam, rhs=rhs, exact=exact, exact_deriv=exact_deriv, label="custom"
     )

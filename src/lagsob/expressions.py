@@ -16,6 +16,7 @@ input either parses or reports where it went wrong, never crashes.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -49,13 +50,14 @@ FUNCTIONS = {
     "abs": abs,
 }
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# numpy rounds these exactly like Python floats do; a zero divisor is checked first.
+_IEEE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 NUMBER = "number"
 IDENT = "identifier"
 OP = "operator"
 LPAREN = "lparen"
 RPAREN = "rparen"
-COMMA = "comma"
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -135,8 +137,6 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(LPAREN, c, i))
         elif c == ")":
             tokens.append(Token(RPAREN, c, i))
-        elif c == ",":
-            tokens.append(Token(COMMA, c, i))
         else:
             raise ExpressionError(f"unexpected character {c!r} at offset {i}", i)
         i += 1
@@ -246,47 +246,41 @@ def parse_expression(text: str) -> Expr:
 
 def evaluate(expr: Expr, x: float) -> float:
     """Evaluate at a point; domain violations and non-finite results raise."""
-    value = _eval(expr, float(x))
-    if not math.isfinite(value):
-        raise ExpressionError(f"non-finite result {value!r} at x={x!r}")
-    return value
+    return to_callable(expr)(float(x))
 
 
-def _eval(expr: Expr, x: float) -> float:
+def _eval(expr: Expr, x: np.ndarray) -> np.ndarray:
+    """Evaluate each node once over the whole array, as a scalar walk would per point.
+
+    Calls and '^' go elementwise through math, since numpy's own exp, power, tan
+    and log differ in the last bit; a point raises exactly where the walk would.
+    """
     if isinstance(expr, Num):
-        return expr.value
+        return np.full_like(x, expr.value)
     if isinstance(expr, Var):
         return x
     if isinstance(expr, Neg):
         return -_eval(expr.operand, x)
-    if isinstance(expr, Bin):
-        a = _eval(expr.left, x)
-        b = _eval(expr.right, x)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if b == 0.0:
-                raise ExpressionError(f"division by zero in {format_expr(expr)!r} at x={x!r}")
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise ExpressionError(f"invalid power in {format_expr(expr)!r} at x={x!r}: {exc}")
     if isinstance(expr, Call):
-        arg = _eval(expr.arg, x)
-        if expr.name == "ln" and arg <= 0.0:
-            raise ExpressionError(f"ln of non-positive value in {format_expr(expr)!r} at x={x!r}")
-        if expr.name == "sqrt" and arg < 0.0:
-            raise ExpressionError(f"sqrt of negative value in {format_expr(expr)!r} at x={x!r}")
+        fn, what, args = FUNCTIONS[expr.name], "domain error", [_eval(expr.arg, x)]
+    elif isinstance(expr, Bin):
+        a, b = _eval(expr.left, x), _eval(expr.right, x)
+        if expr.op == "/" and np.any(b == 0.0):
+            at = x[b == 0.0].item(0)
+            raise ExpressionError(f"division by zero in {format_expr(expr)!r} at x={at!r}")
+        if expr.op in _IEEE_OPS:
+            return _IEEE_OPS[expr.op](a, b)
+        fn, what, args = math.pow, "invalid power", [a, b]
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    def checked(at, *point):
         try:
-            return FUNCTIONS[expr.name](arg)
+            return fn(*point)
         except (ValueError, OverflowError) as exc:
-            raise ExpressionError(f"domain error in {format_expr(expr)!r} at x={x!r}: {exc}")
-    raise TypeError(f"not an expression node: {expr!r}")
+            raise ExpressionError(f"{what} in {format_expr(expr)!r} at x={at!r}: {exc}")
+
+    return np.asarray(np.frompyfunc(checked, len(args) + 1, 1)(x, *args), dtype=float)
 
 
 def _prec(expr: Expr) -> int:
@@ -331,10 +325,12 @@ def to_callable(expr: Expr):
     """Wrap a tree as a float->float function that also maps over arrays."""
 
     def f(x):
-        if np.ndim(x) == 0:
-            return evaluate(expr, float(x))
-        flat = np.asarray(x, dtype=float).reshape(-1)
-        out = np.array([evaluate(expr, float(v)) for v in flat])
-        return out.reshape(np.shape(x))
+        x = np.array(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.asarray(_eval(expr, x))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise ExpressionError(f"non-finite result {out[bad].item(0)!r} at x={x[bad].item(0)!r}")
+        return float(out) if x.ndim == 0 else out
 
     return f

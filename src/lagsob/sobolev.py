@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _L1 = LaguerreFamily(1.0)
-_RESCALE_AT = 2.0**512
 
 
 def _check_lam(lam: float) -> float:
@@ -93,9 +92,9 @@ def connection_ratio(lam: float, n_max: int) -> np.ndarray:
 
     One forward sweep of the alpha=1 recurrence at -4 lam gives the whole
     sequence; at negative arguments every term is positive, so the sweep is
-    well conditioned.  The arithmetic is that of laguerre_eval_all.  Once
-    L_{n+1} passes 2^512 both carried values are scaled by 2^-512, which is
-    exact and leaves every ratio unchanged, so large lam*n cannot overflow.
+    well conditioned.  The arithmetic is that of laguerre_eval_all, except
+    that every step scales both carried values by the power of two that puts
+    L_{n+1} in [1/2, 1): exact, so every ratio is unchanged and none overflows.
     """
     lam = _check_lam(lam)
     if n_max < 1:
@@ -106,8 +105,8 @@ def connection_ratio(lam: float, n_max: int) -> np.ndarray:
     for n in range(n_max):
         if n:
             lo, hi = hi, ((2 * n + 2.0 - x) * hi - (n + 1.0) * lo) / (n + 1)
-        if hi > _RESCALE_AT:
-            lo, hi = math.ldexp(lo, -512), math.ldexp(hi, -512)
+        m, e = math.frexp(hi)
+        lo, hi = math.ldexp(lo, -e), m
         a[n] = (n + 2.0) / (n + 1.0) * lo / hi
     return a
 

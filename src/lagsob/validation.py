@@ -195,5 +195,11 @@ SUITE_NAMES = [name for name, _ in _SUITES]
 
 
 def run_suites(lam: float = 1.0):
-    """Run every suite; returns a list of (name, passed, detail)."""
-    return [(name, *fn(lam)) for name, fn in _SUITES]
+    """Run every suite; returns (name, passed, detail) each; a numerical error fails its suite."""
+    results = []
+    for name, fn in _SUITES:
+        try:
+            results.append((name, *fn(lam)))
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            results.append((name, False, f"raised {type(exc).__name__}: {exc}"))
+    return results

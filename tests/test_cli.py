@@ -15,6 +15,7 @@ from lagsob import (
 )
 from lagsob.cli import main
 from lagsob.sobolev import _norm_recurrence
+from lagsob.validation import SUITE_NAMES
 
 
 def read_csv(path: Path):
@@ -151,10 +152,12 @@ class TestCoeffsCommand:
         _, rows = read_csv(tmp_path / "an_table.csv")
         assert float(rows[0][1]) == pytest.approx(1.0 / 5.0, abs=1e-15)
 
-    def test_large_lambda_stays_finite(self, tmp_path):
-        # L_n^{(1)}(-4000) leaves double range from n = 170 on; the ratio
-        # column must not.  a_asymptotic is nan by definition at n = 0 only.
-        assert main(["coeffs", "--lambda", "1000", "--nmax", "400",
+    @pytest.mark.parametrize("lam", ["1000", "1e200"])
+    def test_large_lambda_stays_finite(self, tmp_path, lam):
+        # L_n^{(1)}(-4000) leaves double range from n = 170 on, and one step
+        # at -4e200 multiplies by ~4e200; the ratio column must stay finite.
+        # a_asymptotic is nan by definition at n = 0 only.
+        assert main(["coeffs", "--lambda", lam, "--nmax", "400",
                      "--out-dir", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "an_table.csv")
         assert len(rows) == 401
@@ -223,6 +226,17 @@ class TestValidateCommand:
         assert main(["validate"]) == 1
         out = capsys.readouterr()
         assert "sobolev-gram" in out.err
+
+    @pytest.mark.parametrize("lam", ["60", "200"])
+    def test_raising_suite_is_a_fail_line(self, capsys, lam):
+        # sobolev-generating-function raises at these lambdas (bessel_j's
+        # range at 60, a math.exp overflow at 200); main must still return.
+        assert main(["validate", "--lambda", lam]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == SUITE_NAMES
+        gen_fun = lines[-1].split()
+        assert gen_fun[1:3] == ["FAIL", "raised"]
+        assert gen_fun[3] in ("ValueError:", "OverflowError:")
 
     def test_rejects_nmax(self):
         # validate runs fixed-size suites; --nmax is not one of its options.

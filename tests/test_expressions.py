@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
 import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagsob import (
     ExpressionError,
@@ -16,6 +19,8 @@ from lagsob import (
     to_callable,
     tokenize,
 )
+from lagsob import expressions
+from lagsob.expressions import FUNCTIONS, Bin, Call, Neg, Num, Var
 
 RHS_EXP_DECAY = "exp(-x)*(3*cos(x) - 2*(-1 + x)*sin(x))"
 U_EXP_DECAY = "x*cos(x)*exp(-x)"
@@ -41,6 +46,58 @@ def rhs_rational(x):
 
 def u_rational(x):
     return 10 * x * math.cos(x) / (x + 1) ** 3
+
+
+def reference_eval(expr, x):
+    """The scalar tree walk, one point at a time; non-finite results raise."""
+    value = _reference_walk(expr, float(x))
+    if not math.isfinite(value):
+        raise ExpressionError(f"non-finite result {value!r} at x={x!r}")
+    return value
+
+
+def _reference_walk(expr, x):
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return x
+    if isinstance(expr, Neg):
+        return -_reference_walk(expr.operand, x)
+    if isinstance(expr, Bin):
+        a = _reference_walk(expr.left, x)
+        b = _reference_walk(expr.right, x)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            if b == 0.0:
+                raise ExpressionError(f"division by zero in {format_expr(expr)!r} at x={x!r}")
+            return a / b
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise ExpressionError(f"invalid power in {format_expr(expr)!r} at x={x!r}: {exc}")
+    if isinstance(expr, Call):
+        arg = _reference_walk(expr.arg, x)
+        if expr.name == "ln" and arg <= 0.0:
+            raise ExpressionError(f"ln of non-positive value in {format_expr(expr)!r} at x={x!r}")
+        if expr.name == "sqrt" and arg < 0.0:
+            raise ExpressionError(f"sqrt of negative value in {format_expr(expr)!r} at x={x!r}")
+        try:
+            return FUNCTIONS[expr.name](arg)
+        except (ValueError, OverflowError) as exc:
+            raise ExpressionError(f"domain error in {format_expr(expr)!r} at x={x!r}: {exc}")
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def reference_or_error(expr, x):
+    try:
+        return reference_eval(expr, x)
+    except ExpressionError:
+        return None
 
 
 class TestTokenize:
@@ -158,6 +215,84 @@ class TestEvaluate:
         f = to_callable(parse_expression("x^2 + 1"))
         assert f(3.0) == 10.0
         assert np.allclose(f(np.array([0.0, 1.0, 2.0])), [1.0, 2.0, 5.0])
+
+
+# 0, negative x and x = 700 (where exp is near the top of the double range).
+GRID = np.array([-700.0, -3.5, -1.0, -0.0, 0.0, 1e-300, 0.25, 1.0, 2.0, 3.75, 40.0, 700.0])
+
+_leaves = st.one_of(
+    st.just(Var()),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, math.pi, 1e-3, 1e300]).map(Num),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False).map(Num),
+)
+TREES = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), kids),
+    ),
+    max_leaves=10,
+)
+
+
+class TestArrayEvaluation:
+    """One pass per node over the array against the scalar reference walk."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tree=TREES)
+    def test_matches_scalar_reference_walk(self, tree):
+        ref = [reference_or_error(tree, x) for x in GRID]
+        if any(r is None for r in ref):
+            with pytest.raises(ExpressionError):
+                to_callable(tree)(GRID)
+        else:
+            got = to_callable(tree)(GRID)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        for x, r in zip(GRID, ref):
+            if r is None:
+                with pytest.raises(ExpressionError):
+                    evaluate(tree, x)
+            else:
+                assert evaluate(tree, x) == r
+
+    def test_arrays_take_no_per_point_path(self, monkeypatch):
+        def per_point(expr, x):
+            raise AssertionError("array evaluation went through the scalar evaluate")
+
+        monkeypatch.setattr(expressions, "evaluate", per_point)
+        tree = parse_expression(RHS_RATIONAL)
+        x = np.linspace(0.0, 40.0, 101)
+        assert np.array_equal(to_callable(tree)(x), [reference_eval(tree, v) for v in x])
+
+    def test_shapes_and_scalars(self):
+        f = to_callable(parse_expression("x*exp(-x)"))
+        x = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+        got = f(x)
+        assert got.shape == (2, 3) and got is not x
+        assert type(f(1.5)) is float and type(f(np.float64(1.5))) is float
+        assert f(np.array(1.5)) == reference_eval(parse_expression("x*exp(-x)"), 1.5)
+        assert f(np.array([])).shape == (0,)
+        # No point, so nothing raises, not even a constant division by zero.
+        assert to_callable(parse_expression("1/0"))(np.array([])).shape == (0,)
+        ident = to_callable(parse_expression("x"))
+        x = np.array([1.0, 2.0])
+        assert ident(x) is not x
+
+    def test_errors_name_subexpression_and_first_failing_point(self):
+        cases = [
+            ("1/(x - 2)", "division by zero in '1.0 / (x - 2.0)' at x=2.0"),
+            ("ln(x)", "domain error in 'ln(x)' at x=0.0"),
+            ("sqrt(x - 3)", "domain error in 'sqrt(x - 3.0)' at x=2.0"),
+            ("(x - 3)^0.5", "invalid power in '(x - 3.0) ^ 0.5' at x=2.0"),
+            ("exp(1/(x + 0.001))", "domain error in 'exp(1.0 / (x + 0.001))' at x=0.0"),
+            ("exp(400/(x + 1))*exp(400/(x + 1))", "non-finite result inf at x=0.0"),
+        ]
+        x = np.array([3.5, 3.0, 2.0, 1.0, 0.0])
+        for text, message in cases:
+            with pytest.raises(ExpressionError, match=re.escape(message)):
+                to_callable(parse_expression(text))(x)
 
 
 class TestRoundTrip:

@@ -69,9 +69,10 @@ class TestConnectionSequence:
         expected = (n + 2.0) / (n + 1.0) * lag[:-1] / lag[1:]
         assert np.array_equal(connection_ratio(lam, 201), expected)
 
-    def test_ratio_survives_laguerre_overflow(self):
-        # L_n^{(1)}(-4000) leaves double range at n = 170; the ratios do not.
-        lam = 1000.0
+    @pytest.mark.parametrize("lam", [1000.0, 1e200])
+    def test_ratio_survives_laguerre_overflow(self, lam):
+        # L_n^{(1)}(-4000) leaves double range at n = 170, and every step at
+        # -4e200 multiplies by ~4e200; the ratios do not overflow.
         ratio = connection_ratio(lam, 401)
         assert np.all(np.isfinite(ratio))
         with mpmath.workdps(40):

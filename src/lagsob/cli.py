@@ -30,8 +30,6 @@ from .sobolev import (
 )
 from .solver import (
     DEFAULT_N_MAX,
-    DEFAULT_QUAD_M0,
-    DEFAULT_QUAD_TOL,
     BVProblem,
     builtin_problem,
     partial_sum,
@@ -81,12 +79,17 @@ def _make_problem(args):
     if (args.problem is None) == (args.f_expr is None):
         raise ValueError("exactly one of --problem and --f-expr must be given")
     if args.problem is not None:
+        if args.u_expr is not None or args.du_expr is not None:
+            raise ValueError(
+                f"--u-expr and --du-expr do not apply to --problem {args.problem} "
+                "(it has its own exact solution)"
+            )
         return builtin_problem(args.problem)
+    if (args.u_expr is None) != (args.du_expr is None):
+        raise ValueError("--u-expr and --du-expr must be given together for error reporting")
     rhs = _expression("--f-expr", args.f_expr)
     exact = exact_deriv = None
     if args.u_expr is not None:
-        if args.du_expr is None:
-            raise ValueError("--u-expr requires --du-expr for error reporting")
         exact = _expression("--u-expr", args.u_expr)
         exact_deriv = _expression("--du-expr", args.du_expr)
     return BVProblem(
@@ -105,7 +108,7 @@ def run_solve(args) -> int:
             f"(its attached exact solution depends on it)"
         )
 
-    sol = solve(problem, n_max=args.n_max, quad_m0=args.quad_m0, quad_tol=args.quad_tol)
+    sol = solve(problem, n_max=args.n_max)
     out = args.out_dir
 
     have_exact = problem.exact is not None and problem.exact_deriv is not None
@@ -251,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a boundary value problem")
     common(p_solve, grid=True)
-    p_solve.add_argument("--quad-m0", dest="quad_m0", type=int, default=DEFAULT_QUAD_M0,
-                         help="initial quadrature size (default %(default)s)")
-    p_solve.add_argument("--quad-tol", dest="quad_tol", type=float, default=DEFAULT_QUAD_TOL,
-                         help="quadrature doubling tolerance (default %(default)s)")
     p_solve.add_argument("--problem", choices=["exp-decay", "rational-decay"],
                          help="builtin problem name")
     p_solve.add_argument("--f-expr", dest="f_expr", help="right-hand side f(x) as an expression")

@@ -1,4 +1,4 @@
-"""Generalized Gauss-Laguerre rules and the half-weight integrator.
+"""Generalized Gauss-Laguerre rules, the integrators and the rule-size policy.
 
 Rules are built Golub-Welsch style: nodes are the eigenvalues of the
 symmetric Jacobi matrix of the monic Laguerre recurrence (diagonal
@@ -15,6 +15,7 @@ the compensated integrand.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -32,6 +33,10 @@ __all__ = [
     "integrate_adaptive",
 ]
 
+# Rule-size policy of every adaptive integral: start at M0 points, double up
+# to M_MAX, stop once two successive sizes agree to TOL relative to 1 + |value|.
+M0 = 32
+TOL = 1e-12
 M_MAX = 256
 
 
@@ -79,8 +84,10 @@ def _build_rule(alpha: float, m: int) -> QuadratureRule:
 
 def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:
     """m-point rule for weight x^alpha e^{-x}; exact through degree 2m-1."""
-    if not (alpha > -1.0):
-        raise ValueError(f"weight exponent must satisfy alpha > -1, got {alpha!r}")
+    if not (alpha > -1.0) or math.isinf(alpha):
+        raise ValueError(f"weight exponent alpha must be finite and > -1, got {alpha!r}")
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"rule size m must be an integer, got {m!r}")
     if not 1 <= m <= M_MAX:
         raise ValueError(f"rule size must lie in [1, {M_MAX}], got {m}")
     return _build_rule(float(alpha), int(m))
@@ -132,30 +139,21 @@ class AdaptiveResult(NamedTuple):
     converged: bool
 
 
-def _adaptive_doubling(eval_at: Callable[[int], float], m0: int, tol: float) -> AdaptiveResult:
-    """Double the rule size until successive values agree to tol, cap at M_MAX."""
-    if m0 < 1:
-        raise ValueError(f"initial rule size must be >= 1, got {m0}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be > 0, got {tol!r}")
-    m = min(m0, M_MAX)
-    value = eval_at(m)
-    achieved = math.inf
-    while m < M_MAX:
-        m_next = min(2 * m, M_MAX)
-        value_next = eval_at(m_next)
-        achieved = abs(value_next - value) / (1.0 + abs(value_next))
-        value, m = value_next, m_next
-        if achieved <= tol:
-            return AdaptiveResult(value, m, achieved, True)
-    return AdaptiveResult(value, m, achieved, achieved <= tol)
+def integrate_adaptive(value_at: Callable[[int], float]) -> AdaptiveResult:
+    """Apply the package's one rule-size policy to value_at(m), an m-point integral.
 
-
-def integrate_adaptive(h: Callable, m0: int, tol: float) -> AdaptiveResult:
-    """Adaptive-size version of integrate_halfweight.
-
-    Doubles m starting from m0 until two successive values differ by no more
-    than tol * (1 + |value|) or the size cap is reached; a cap hit without
+    Doubles m from M0 until value_at(m) and value_at(m/2) differ by no more
+    than TOL * (1 + |value_at(m)|) or m reaches M_MAX; a cap hit without
     agreement is flagged via converged=False with the achieved tolerance.
     """
-    return _adaptive_doubling(lambda m: integrate_halfweight(h, m), m0, tol)
+    m = M0
+    value = value_at(m)
+    achieved = math.inf
+    while m < M_MAX:
+        m = min(2 * m, M_MAX)
+        value_next = value_at(m)
+        achieved = abs(value_next - value) / (1.0 + abs(value_next))
+        value = value_next
+        if achieved <= TOL:
+            return AdaptiveResult(value, m, achieved, True)
+    return AdaptiveResult(value, m, achieved, False)

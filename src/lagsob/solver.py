@@ -25,9 +25,9 @@ import numpy as np
 from .laguerre import LaguerreFamily, _check_finite_scalar_or_array, laguerre_eval_all
 from .quadrature import (
     AdaptiveResult,
-    _adaptive_doubling,
     gauss_laguerre,
     integrate_adaptive,
+    integrate_halfweight,
     integrate_plain,
 )
 from .sobolev import SobolevBasis, sobolev_basis, sobolev_eval_all
@@ -46,8 +46,6 @@ __all__ = [
 _L1 = LaguerreFamily(1.0)
 
 DEFAULT_N_MAX = 20
-DEFAULT_QUAD_M0 = 32
-DEFAULT_QUAD_TOL = 1e-12
 
 # Parseval errors more negative than this indicate inconsistent quadrature
 # rather than rounding noise.
@@ -80,8 +78,6 @@ class SpectralSolution:
     uhat: np.ndarray
     quad_report: list
     problem: BVProblem
-    quad_m0: int = DEFAULT_QUAD_M0
-    quad_tol: float = DEFAULT_QUAD_TOL
     integrand_evals: int = 0
     recurrence_steps: int = 0
     norm_report: dict = field(default_factory=dict)
@@ -92,16 +88,12 @@ class SpectralSolution:
         return all(r.converged for r in self.quad_report)
 
 
-def solve(
-    problem: BVProblem,
-    n_max: int = DEFAULT_N_MAX,
-    quad_m0: int = DEFAULT_QUAD_M0,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-) -> SpectralSolution:
+def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     """Compute the expansion coefficients uhat_0..uhat_{n_max}.
 
-    Each g(n) integral adapts its rule size independently; non-convergence at
-    the cap is recorded in quad_report, not raised.  Only non-finite integrand
+    Each g(n) integral adapts its rule size independently under the one
+    policy of quadrature.integrate_adaptive; non-convergence at the cap is
+    recorded in quad_report, not raised.  Only non-finite integrand
     values abort.
     """
     if n_max < 0:
@@ -122,7 +114,7 @@ def solve(
         def h(x, n=n):
             return counted_rhs(x) * laguerre_eval_all(_L1, n, x)[n]
 
-        res = integrate_adaptive(h, quad_m0, quad_tol)
+        res = integrate_adaptive(lambda m: integrate_halfweight(h, m))
         g[n] = res.value
         report.append(res)
 
@@ -142,8 +134,6 @@ def solve(
         uhat=uhat,
         quad_report=report,
         problem=problem,
-        quad_m0=quad_m0,
-        quad_tol=quad_tol,
         integrand_evals=evals,
         recurrence_steps=steps,
     )
@@ -219,18 +209,18 @@ def _require_exact(sol: SpectralSolution):
     return p
 
 
-def _adaptive_plain(f: Callable, m0: int, tol: float) -> AdaptiveResult:
-    return _adaptive_doubling(lambda m: integrate_plain(gauss_laguerre(0.0, m), f), m0, tol)
+def _adaptive_plain(f: Callable) -> AdaptiveResult:
+    return integrate_adaptive(lambda m: integrate_plain(gauss_laguerre(0.0, m), f))
 
 
-def _energy_norm_sq(u: Callable, du: Callable, lam: float, m0: int, tol: float):
+def _energy_norm_sq(u: Callable, du: Callable, lam: float):
     """lam * int u^2/x dx + int (u')^2 dx by adaptive unweighted quadrature.
 
     Integrands are only evaluated at the (strictly positive) nodes, so the
     removable singularity of u^2/x at zero never materializes.
     """
-    r1 = _adaptive_plain(lambda x: u(x) ** 2 / x, m0, tol)
-    r2 = _adaptive_plain(lambda x: du(x) ** 2, m0, tol)
+    r1 = _adaptive_plain(lambda x: u(x) ** 2 / x)
+    r2 = _adaptive_plain(lambda x: du(x) ** 2)
     return lam * r1.value + r2.value, (r1, r2)
 
 
@@ -246,9 +236,7 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
         raise ValueError(f"order must lie in [0, {sol.n_max}], got {n}")
     if sol._eps is None:
         p = _require_exact(sol)
-        norm_sq, reports = _energy_norm_sq(
-            p.exact, p.exact_deriv, p.lam, sol.quad_m0, sol.quad_tol
-        )
+        norm_sq, reports = _energy_norm_sq(p.exact, p.exact_deriv, p.lam)
         sol.norm_report["u_sq_over_x"], sol.norm_report["du_sq"] = reports
         eps = norm_sq - np.cumsum(sol.uhat**2 * sol.basis.s)
         if np.any(eps < _NEGATIVE_EPS_FLOOR):
@@ -277,7 +265,7 @@ def sobolev_error_direct(sol: SpectralSolution, n: int) -> float:
     def ddiff(x):
         return p.exact_deriv(x) - partial_sum_deriv(sol, n, x)
 
-    value, _ = _energy_norm_sq(diff, ddiff, p.lam, sol.quad_m0, sol.quad_tol)
+    value, _ = _energy_norm_sq(diff, ddiff, p.lam)
     return value
 
 

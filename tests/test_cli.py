@@ -136,6 +136,19 @@ class TestSolveCommand:
         assert main(["solve", "--problem", "exp-decay", "--lambda", "2"] + out) == 2
         assert main(["solve", "--f-expr", "0", "--lambda", "-1"] + out) == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--f-expr", "exp(-x)", "--du-expr", "x"], "--du-expr"),
+            (["--problem", "exp-decay", "--u-expr", "x", "--du-expr", "1"], "--u-expr"),
+        ],
+        ids=["du-without-u", "exact-with-problem"],
+    )
+    def test_ignored_expression_flags_are_config_errors(self, tmp_path, capsys, argv, flag):
+        assert main(["solve", *argv, "--out-dir", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCoeffsCommand:
     def test_table_values(self, tmp_path):

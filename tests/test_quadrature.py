@@ -14,6 +14,11 @@ from lagsob import (
     integrate_plain,
     laguerre_eval_all,
 )
+from lagsob.quadrature import M_MAX, TOL
+
+
+def adaptive_halfweight(h):
+    return integrate_adaptive(lambda m: integrate_halfweight(h, m))
 
 
 class TestRuleConstruction:
@@ -73,6 +78,13 @@ class TestRuleConstruction:
             gauss_laguerre(1.0, 257)
         with pytest.raises(ValueError):
             gauss_laguerre(-1.0, 4)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                gauss_laguerre(alpha, 4)
+        for m in (4.7, 4.0, "4"):
+            with pytest.raises(ValueError, match="rule size m"):
+                gauss_laguerre(1.0, m)
+        assert gauss_laguerre(1.0, np.int64(4)) is gauss_laguerre(1.0, 4)
 
     def test_rules_are_deterministic_and_immutable(self):
         a = gauss_laguerre(1.0, 17)
@@ -144,35 +156,59 @@ class TestHalfweight:
     def test_rational_vs_trapezoid_oracle(self):
         xs = np.linspace(0.0, 200.0, 10**6 + 1)
         oracle = np.trapezoid(xs * np.exp(-xs / 2.0) / (1.0 + xs) ** 2, xs)
-        res = integrate_adaptive(lambda x: 1.0 / (1.0 + x) ** 2, 16, 1e-10)
+        res = adaptive_halfweight(lambda x: 1.0 / (1.0 + x) ** 2)
         assert res.value == pytest.approx(float(oracle), abs=1e-8)
 
 
 class TestAdaptive:
+    @staticmethod
+    def run_recorded(values):
+        """integrate_adaptive on m -> values(m), with the sizes it asked for."""
+        asked = []
+
+        def value_at(m):
+            asked.append(m)
+            return values(m)
+
+        return integrate_adaptive(value_at), asked
+
+    def test_policy_sizes(self):
+        res, asked = self.run_recorded(lambda m: 1.0)
+        assert asked == [32, 64]
+        assert res == (1.0, 64, 0.0, True)
+
+        res, asked = self.run_recorded(float)
+        assert asked == [32, 64, 128, 256]
+        assert res.value == 256.0 and res.m_used == M_MAX == 256 and not res.converged
+        assert res.achieved_tol == 128.0 / 257.0
+
+    def test_agreement_is_relative_to_one_plus_value(self):
+        # |v(64) - v(32)| / (1 + |v(64)|) is 0.5 TOL, then 2 TOL.
+        for jump, sizes in ((1e-12, [32, 64]), (4e-12, [32, 64, 128])):
+            res, asked = self.run_recorded(lambda m: 1.0 + jump * (m == 32))
+            assert asked == sizes and res.converged
+            assert res.achieved_tol <= TOL
+
     def test_polynomial_converges_at_first_doubling(self):
-        res = integrate_adaptive(lambda x: x**5 - 2.0 * x**2 + 1.0, 4, 1e-12)
-        assert res.converged and res.m_used == 8
+        res = adaptive_halfweight(lambda x: x**5 - 2.0 * x**2 + 1.0)
+        assert res.converged and res.m_used == 64
         # independent moment oracle: int x^k x e^{-x/2} dx = 2^{k+2} (k+1)!
         exact = 2.0**7 * math.factorial(6) - 2.0 * 2.0**4 * math.factorial(3) + 4.0
+        assert exact == 91_972.0
         assert res.value == pytest.approx(exact, rel=1e-13)
 
     def test_exp_decay_data_hits_closed_form(self):
         def f(x):
             return np.exp(-x) * (3.0 * np.cos(x) - 2.0 * (-1.0 + x) * np.sin(x))
 
-        res = integrate_adaptive(f, 16, 1e-12)
+        res = adaptive_halfweight(f)
         assert res.converged
         assert res.value == pytest.approx(556.0 / 2197.0, rel=1e-10)
 
     def test_cap_flags_nonconvergence(self):
-        # integrand with slow algebraic decay against the weight
-        res = integrate_adaptive(lambda x: 1.0 / (1.0 + x) ** 0.5, 128, 1e-15)
-        assert res.m_used == 256
-        assert not res.converged
-        assert res.achieved_tol > 1e-15
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, 0, 1e-10)
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, 8, -1.0)
+        # a singular derivative inside the range defeats the polynomial rules
+        for h in (np.sqrt, lambda x: np.abs(x - 3.0)):
+            res = adaptive_halfweight(h)
+            assert res.m_used == M_MAX
+            assert not res.converged
+            assert res.achieved_tol > TOL

@@ -18,10 +18,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
@@ -38,6 +38,7 @@ __all__ = [
 M0 = 32
 TOL = 1e-12
 M_MAX = 256
+_TABLE = Path(__file__).with_name("rules.npz")
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class QuadratureRule:
         return np.exp(self.log_weights + self.nodes - self.alpha * np.log(self.nodes))
 
 
-@lru_cache(maxsize=128)
-def _build_rule(alpha: float, m: int) -> QuadratureRule:
+def _eigen_rule(alpha: float, m: int) -> QuadratureRule:
+    from scipy.linalg import eigh_tridiagonal
     k = np.arange(m, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
@@ -80,6 +81,28 @@ def _build_rule(alpha: float, m: int) -> QuadratureRule:
     for arr in (nodes, weights, log_weights):
         arr.setflags(write=False)
     return QuadratureRule(alpha=alpha, nodes=nodes, weights=weights, log_weights=log_weights)
+
+
+def _write_table(path=_TABLE) -> None:
+    """Write rules.npz: per policy size, the _eigen_rule arrays for alpha 0 and 1."""
+    rules = [_eigen_rule(a, M0 << k) for a in (0.0, 1.0) for k in range((M_MAX // M0).bit_length())]
+    np.savez(path, **{f"{r.alpha!r}_{r.size}": [r.nodes, r.weights, r.log_weights] for r in rules})
+
+
+@lru_cache(maxsize=1)
+def _table() -> dict:
+    with np.load(_TABLE) as data:
+        table = dict(data)
+    for rows in table.values():
+        rows.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=128)
+def _build_rule(alpha: float, m: int) -> QuadratureRule:
+    """Policy sizes for alpha 0 and 1 load from rules.npz (rows: nodes, weights, log-weights)."""
+    rows = _table().get(f"{alpha!r}_{m}")
+    return _eigen_rule(alpha, m) if rows is None else QuadratureRule(alpha, *rows)
 
 
 def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:

@@ -3,14 +3,12 @@
 The generating-function identities need J_alpha to absolute accuracy 1e-12 on
 [0, 60].  scipy's jv (cephes/AMOS) meets that on the whole range: against a
 40-digit mpmath oracle its absolute error stays below 1e-14 for the orders
-the identities use.  bessel_j is jv behind the order and range checks.
+the identities use.  bessel_j is jv, imported on first call, behind the checks.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import special
 
 __all__ = ["bessel_j"]
 
@@ -23,6 +21,7 @@ def bessel_j(alpha: float, z: float) -> float:
         raise ValueError(f"bessel order must be >= 0, got {alpha!r}")
     if not (0.0 <= z <= Z_MAX):
         raise ValueError(f"bessel_j argument must lie in [0, {Z_MAX:g}], got {z!r}")
+    from scipy import special
     value = float(special.jv(alpha, z))
     if not math.isfinite(value):  # pragma: no cover - jv is finite on this range
         raise RuntimeError(f"bessel_j failed for alpha={alpha}, z={z}")

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -266,3 +269,34 @@ class TestEnvironment:
         assert main(["coeffs", "--nmax", "1", "--out-dir", str(flag_dir)]) == 0
         assert (env_dir / "an_table.csv").exists()
         assert not flag_dir.exists()
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import lagsob, lagsob.cli
+from lagsob import builtin_problem, solve, sobolev_error
+sol = solve(builtin_problem("exp-decay"), 100)
+eps = [sobolev_error(sol, n) for n in range(101)]
+assert lagsob.cli.main(["coeffs", "--nmax", "200"]) == 0
+assert lagsob.cli.main(["solve", "--problem", "exp-decay", "--nmax", "20"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+value = lagsob.bessel_j(0.0, 1.0)
+import scipy.special
+assert value == scipy.special.jv(0, 1), value
+"""
+
+
+def test_solve_coeffs_and_errors_load_no_scipy(tmp_path):
+    # a fresh process, so no other test has imported scipy first
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "an_table.csv").exists() and (tmp_path / "solution.csv").exists()

@@ -14,6 +14,7 @@ from lagsob import (
     integrate_plain,
     laguerre_eval_all,
 )
+from lagsob import quadrature
 from lagsob.quadrature import M_MAX, TOL
 
 
@@ -94,6 +95,47 @@ class TestRuleConstruction:
             a.nodes[0] = 0.0
 
 
+def policy_sizes():
+    """The rule sizes integrate_adaptive tries when no two values agree."""
+    asked = []
+    integrate_adaptive(lambda m: asked.append(m) or float(m))
+    return asked
+
+
+class TestShippedRules:
+    """rules.npz holds exactly the policy's rules, bit-identical to the eigensolver builder."""
+
+    PAIRS = [(alpha, m) for alpha in (0.0, 1.0) for m in policy_sizes()]
+
+    def test_table_holds_exactly_the_policy_pairs(self):
+        assert sorted(quadrature._table()) == sorted(f"{a!r}_{m}" for a, m in self.PAIRS)
+
+    @pytest.mark.parametrize("alpha, m", PAIRS)
+    def test_entries_match_the_eigensolver_and_are_read_only(self, alpha, m):
+        rule = gauss_laguerre(alpha, m)
+        assert np.shares_memory(rule.nodes, quadrature._table()[f"{alpha!r}_{m}"])
+        built = quadrature._eigen_rule(alpha, m)
+        for name in ("nodes", "weights", "log_weights"):
+            assert np.array_equal(getattr(rule, name), getattr(built, name))
+            assert not getattr(rule, name).flags.writeable
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
+    def test_other_pairs_go_to_the_eigensolver(self, monkeypatch):
+        eigen_rule, built = quadrature._eigen_rule, []
+
+        def recording(alpha, m):
+            built.append((alpha, m))
+            return eigen_rule(alpha, m)
+
+        monkeypatch.setattr(quadrature, "_eigen_rule", recording)
+        build = quadrature._build_rule.__wrapped__  # past the cache
+        for alpha, m in ((2.0, 40), (0.5, 7), (1.0, 64)):
+            rule = build(alpha, m)
+            assert rule.size == m and np.array_equal(rule.nodes, eigen_rule(alpha, m).nodes)
+        assert built == [(2.0, 40), (0.5, 7)]
+
+
 class TestIntegrate:
     def test_constant(self):
         rule = gauss_laguerre(1.0, 4)
@@ -155,7 +197,8 @@ class TestHalfweight:
 
     def test_rational_vs_trapezoid_oracle(self):
         xs = np.linspace(0.0, 200.0, 10**6 + 1)
-        oracle = np.trapezoid(xs * np.exp(-xs / 2.0) / (1.0 + xs) ** 2, xs)
+        y = xs * np.exp(-xs / 2.0) / (1.0 + xs) ** 2
+        oracle = np.sum((y[1:] + y[:-1]) * np.diff(xs)) / 2
         res = adaptive_halfweight(lambda x: 1.0 / (1.0 + x) ** 2)
         assert res.value == pytest.approx(float(oracle), abs=1e-8)
 

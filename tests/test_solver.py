@@ -256,6 +256,37 @@ class TestPartialSums:
             partial_sum(exp_solution, 21, 1.0)
 
 
+class TestOrderArguments:
+    """Orders are integers: floats and bools are refused by name, numpy integers accepted."""
+
+    CALLS = {
+        "partial_sum": lambda sol, n: partial_sum(sol, n, 1.0),
+        "partial_sum_deriv": lambda sol, n: partial_sum_deriv(sol, n, 1.0),
+        "sobolev_error": sobolev_error,
+        "sobolev_error_direct": sobolev_error_direct,
+    }
+
+    @pytest.mark.parametrize("n_max", [20.0, True, "3", np.float64(4.0), -1])
+    def test_solve_rejects_bad_n_max(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            solve(builtin_problem("exp-decay"), n_max)
+
+    def test_solve_accepts_numpy_integers(self):
+        sol = solve(builtin_problem("exp-decay"), np.int64(4))
+        assert type(sol.n_max) is int and sol.n_max == 4 and sol.uhat.size == 5
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("n", [2.0, True, False, np.float64(2.0), 21, -1])
+    def test_orders_must_be_integers_in_range(self, exp_solution, name, n):
+        with pytest.raises(ValueError, match="n must be an integer in"):
+            self.CALLS[name](exp_solution, n)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integer_orders_match_int(self, exp_solution, name):
+        call = self.CALLS[name]
+        assert call(exp_solution, np.int32(3)) == call(exp_solution, 3)
+
+
 class TestSobolevError:
     def test_matches_exact_fixture(self, exp_solution):
         for n in range(21):

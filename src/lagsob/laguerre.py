@@ -11,6 +11,7 @@ cancellation) -- exactly the regime the Sobolev connection coefficients need.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,29 +77,51 @@ def _check_finite_scalar_or_array(x):
     return arr
 
 
+def _check_order(name: str, n, lo: int = 0, hi: float = float("inf")) -> int:
+    """n as an int; a bool, a non-integer or a value outside [lo, hi] raises ValueError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not lo <= n <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
+    return int(n)
+
+
 def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
     """All values L_0(x)..L_{n_max}(x) in one recurrence pass.
 
     Returns an array of shape (n_max+1,) for scalar x, or
-    (n_max+1,) + x.shape for array x.
+    (n_max+1,) + x.shape for array x.  Both paths do the arithmetic of
+    ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) / (n+1) in that order, so
+    their values are bit-identical to it.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_order("n_max", n_max)
     alpha = family.alpha
     xa = _check_finite_scalar_or_array(x)
+    if xa.ndim == 0:
+        # Python floats: in-place updates of 1-element views cost more than the arithmetic.
+        x = float(xa)
+        vals = [1.0, 1.0 + alpha - x][: n_max + 1]
+        for n in range(1, n_max):
+            vals.append(((2 * n + 1 + alpha - x) * vals[n] - (n + alpha) * vals[n - 1]) / (n + 1))
+        return np.array(vals)
     out = np.empty((n_max + 1,) + xa.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 + alpha - xa
+    rows = out.reshape(n_max + 1, xa.size)
+    xf = xa.reshape(-1)
+    rows[0] = 1.0
+    # One pass seeds row n+1 with (2n+1+alpha) - x for every n < n_max: the
+    # floats of the scalar expression, since 2n+1 is exact.  Row 1 is final.
+    np.subtract((2 * np.arange(n_max) + 1 + alpha)[:, None], xf, out=rows[1:])
+    tmp = np.empty_like(xf)
     for n in range(1, n_max):
-        out[n + 1] = ((2 * n + 1 + alpha - xa) * out[n] - (n + alpha) * out[n - 1]) / (n + 1)
+        r = rows[n + 1]
+        r *= rows[n]
+        np.multiply(n + alpha, rows[n - 1], tmp)
+        r -= tmp
+        r /= n + 1
     return out
 
 
 def laguerre_eval(family: LaguerreFamily, n: int, x):
     """L_n^{(alpha)}(x) by forward recurrence from L_{-1} = 0, L_0 = 1."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    n = _check_order("n", n)
     return laguerre_eval_all(family, n, x)[n]
 
 
@@ -110,12 +133,7 @@ def laguerre_coeffs(family: LaguerreFamily, n: int) -> PolyCoeffs:
     where binom(n+alpha, n) leaves double range (use the recurrence
     evaluation instead, which has no such limit).
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if n > COEFF_MODE_MAX_DEGREE:
-        raise ValueError(
-            f"coefficient mode supports degree <= {COEFF_MODE_MAX_DEGREE}, got {n}"
-        )
+    n = _check_order("n", n, hi=COEFF_MODE_MAX_DEGREE)
     alpha = family.alpha
     if alpha == int(alpha) and alpha >= 0:
         c0 = float(math.comb(n + int(alpha), n))
@@ -130,15 +148,13 @@ def laguerre_coeffs(family: LaguerreFamily, n: int) -> PolyCoeffs:
 
 def laguerre_norm_sq(family: LaguerreFamily, n: int) -> float:
     """Squared weighted L2 norm Gamma(n+alpha+1)/n!, via log-gamma differences."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    n = _check_order("n", n)
     return math.exp(math.lgamma(n + family.alpha + 1) - math.lgamma(n + 1))
 
 
 def laguerre_derivative(family: LaguerreFamily, n: int, x):
     """d/dx L_n^{(alpha)}(x) = -L_{n-1}^{(alpha+1)}(x); zero for n = 0."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    n = _check_order("n", n)
     if n == 0:
         xa = _check_finite_scalar_or_array(x)
         return np.zeros(xa.shape) if xa.shape else 0.0
@@ -162,8 +178,7 @@ def ratio_expansion(alpha: float, beta: float, j: int, z: float, n: int, d: int)
         raise ValueError(f"ratio expansion requires z < 0, got {z!r}")
     if d not in (1, 2):
         raise ValueError(f"only d in {{1, 2}} is supported, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_order("n", n, 1)
     total = 1.0
     if d == 2:
         u1 = (beta**2 - alpha**2 + 2.0 * z * (beta - alpha - 2.0 * j)) / (4.0 * math.sqrt(-z))

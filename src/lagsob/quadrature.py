@@ -15,13 +15,14 @@ the compensated integrand.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .laguerre import _check_order
 
 __all__ = [
     "QuadratureRule",
@@ -109,11 +110,7 @@ def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:
     """m-point rule for weight x^alpha e^{-x}; exact through degree 2m-1."""
     if not (alpha > -1.0) or math.isinf(alpha):
         raise ValueError(f"weight exponent alpha must be finite and > -1, got {alpha!r}")
-    if not isinstance(m, numbers.Integral):
-        raise ValueError(f"rule size m must be an integer, got {m!r}")
-    if not 1 <= m <= M_MAX:
-        raise ValueError(f"rule size must lie in [1, {M_MAX}], got {m}")
-    return _build_rule(float(alpha), int(m))
+    return _build_rule(float(alpha), _check_order("rule size m", m, 1, M_MAX))
 
 
 def _eval_on_nodes(g: Callable, nodes: np.ndarray) -> np.ndarray:

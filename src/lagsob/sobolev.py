@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laguerre import LaguerreFamily, PolyCoeffs, laguerre_coeffs, laguerre_eval_all
+from .laguerre import LaguerreFamily, PolyCoeffs, _check_order, laguerre_coeffs, laguerre_eval_all
 from .quadrature import gauss_laguerre, integrate
 from .specfun import bessel_j
 
@@ -75,8 +75,7 @@ class ConnectionSequence:
 def connection_recurrence(lam: float, n_max: int) -> ConnectionSequence:
     """a_0 = 2/(4 lam + 2), then a_n = (n+2) / (4 lam + 2(n+1) - n a_{n-1})."""
     lam = _check_lam(lam)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_order("n_max", n_max, 1)
     a = np.empty(n_max)
     a[0] = 2.0 / (4.0 * lam + 2.0)
     for n in range(1, n_max):
@@ -97,8 +96,7 @@ def connection_ratio(lam: float, n_max: int) -> np.ndarray:
     L_{n+1} in [1/2, 1): exact, so every ratio is unchanged and none overflows.
     """
     lam = _check_lam(lam)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_order("n_max", n_max, 1)
     x = -4.0 * lam
     a = np.empty(n_max)
     lo, hi = 1.0, 2.0 - x  # L_0 and L_1 at x
@@ -114,8 +112,7 @@ def connection_ratio(lam: float, n_max: int) -> np.ndarray:
 def connection_asymptotic(lam: float, n: int) -> float:
     """First-order large-n form 1 - 2 sqrt(lam/n); a test oracle only."""
     lam = _check_lam(lam)
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
+    n = _check_order("n", n, 1)
     return 1.0 - 2.0 * math.sqrt(lam / n)
 
 
@@ -155,8 +152,7 @@ def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
     of the basis has its connection coefficient.
     """
     lam = _check_lam(lam)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_order("n_max", n_max)
     conn = connection_recurrence(lam, n_max + 1)
     return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, conn.a, n_max))
 
@@ -167,8 +163,7 @@ def sobolev_eval_all(basis: SobolevBasis, n: int, x):
     The recursion S_k = L_k^{(1)} - a_{k-1} S_{k-1} runs in place on the
     Laguerre table, so only one (n+1) x len(x) array is formed.
     """
-    if not 0 <= n <= basis.n_max:
-        raise ValueError(f"index must lie in [0, {basis.n_max}], got {n}")
+    n = _check_order("n", n, hi=basis.n_max)
     out = laguerre_eval_all(_L1, n, x)
     a = basis.connection.a
     for k in range(1, n + 1):
@@ -183,8 +178,7 @@ def sobolev_eval(basis: SobolevBasis, n: int, x):
 
 def sobolev_coeffs(basis: SobolevBasis, n: int) -> PolyCoeffs:
     """Monomial coefficients of S_n; degree capped as in laguerre_coeffs."""
-    if not 0 <= n <= basis.n_max:
-        raise ValueError(f"index must lie in [0, {basis.n_max}], got {n}")
+    n = _check_order("n", n, hi=basis.n_max)
     coeffs = np.array([1.0])
     a = basis.connection.a
     for k in range(1, n + 1):
@@ -197,8 +191,7 @@ def sobolev_coeffs(basis: SobolevBasis, n: int) -> PolyCoeffs:
 
 def sobolev_norm_sq(basis: SobolevBasis, n: int) -> float:
     """s(n) = squared energy norm of S_n(x) x e^{-x/2}."""
-    if not 0 <= n <= basis.n_max:
-        raise ValueError(f"index must lie in [0, {basis.n_max}], got {n}")
+    n = _check_order("n", n, hi=basis.n_max)
     return float(basis.s[n])
 
 
@@ -224,8 +217,7 @@ def alternating_sum_check(basis: SobolevBasis, n: int, x: float) -> float:
     S_n(x) L_n^{(1)}(-4 lam)/(n+1) telescopes into the alternating sum of
     L_k^{(1)}(x) L_k^{(1)}(-4 lam)/(k+1); returns |lhs - rhs| / |lhs|.
     """
-    if not 0 <= n <= basis.n_max:
-        raise ValueError(f"index must lie in [0, {basis.n_max}], got {n}")
+    n = _check_order("n", n, hi=basis.n_max)
     lam = basis.lam
     lag_neg = laguerre_eval_all(_L1, n, -4.0 * lam)
     lag_x = laguerre_eval_all(_L1, n, x)
@@ -250,8 +242,7 @@ def gen_fun_sobolev(basis: SobolevBasis, x: float, omega: float, n_trunc: int):
         raise ValueError(f"omega must lie in (0, 0.8], got {omega!r}")
     if not (x > 0.0):
         raise ValueError(f"x must be > 0, got {x!r}")
-    if not 0 <= n_trunc <= basis.n_max:
-        raise ValueError(f"n_trunc must lie in [0, {basis.n_max}], got {n_trunc}")
+    n_trunc = _check_order("n_trunc", n_trunc, hi=basis.n_max)
     lam = basis.lam
     root = math.sqrt(x * lam * omega)
     z = 4.0 * root / (1.0 - omega)

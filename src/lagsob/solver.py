@@ -16,14 +16,13 @@ data genuinely saturates the cap (and the method's accuracy degrades with it).
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .laguerre import LaguerreFamily, _check_finite_scalar_or_array, laguerre_eval_all
+from .laguerre import LaguerreFamily, _check_finite_scalar_or_array, _check_order, laguerre_eval_all
 from .quadrature import (
     AdaptiveResult,
     gauss_laguerre,
@@ -89,12 +88,6 @@ class SpectralSolution:
         return all(r.converged for r in self.quad_report)
 
 
-def _check_order(name: str, n, hi: float = float("inf")) -> int:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= hi:
-        raise ValueError(f"{name} must be an integer in [0, {hi}], got {n!r}")
-    return int(n)
-
-
 def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     """Compute the expansion coefficients uhat_0..uhat_{n_max}.
 
@@ -150,7 +143,7 @@ def partial_sum(sol: SpectralSolution, n: int, x):
 
     The factor x e^{-x/2} enforces both boundary conditions identically.
     """
-    n = _check_order("n", n, sol.n_max)
+    n = _check_order("n", n, hi=sol.n_max)
     xa = np.asarray(x, dtype=float)
     s = sobolev_eval_all(sol.basis, n, xa)
     acc = np.tensordot(sol.uhat[: n + 1], s, axes=(0, 0))
@@ -194,7 +187,7 @@ def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     sum_k uhat_k S_k' = -sum_{k>=1} c_k L_{k-1}^{(2)}.  One scalar sweep and
     two Clenshaw sweeps, so no (n+1) x len(x) table is formed.
     """
-    n = _check_order("n", n, sol.n_max)
+    n = _check_order("n", n, hi=sol.n_max)
     xa = _check_finite_scalar_or_array(x)
     a = sol.basis.connection.a
     c = sol.uhat[: n + 1].copy()
@@ -236,7 +229,7 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
     cumulative sum is reused for every n, which also keeps the sequence
     numerically nonincreasing.
     """
-    n = _check_order("n", n, sol.n_max)
+    n = _check_order("n", n, hi=sol.n_max)
     if sol._eps is None:
         p = _require_exact(sol)
         norm_sq, reports = _energy_norm_sq(p.exact, p.exact_deriv, p.lam)
@@ -258,7 +251,7 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
 
 def sobolev_error_direct(sol: SpectralSolution, n: int) -> float:
     """eps_n by direct quadrature of the squared difference (cross-check path)."""
-    n = _check_order("n", n, sol.n_max)
+    n = _check_order("n", n, hi=sol.n_max)
     p = _require_exact(sol)
 
     def diff(x):

@@ -1,18 +1,37 @@
 """Laguerre polynomial identities against independent brute-force oracles."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import lagsob.solver
 from lagsob import (
     LaguerreFamily,
+    alternating_sum_check,
+    builtin_problem,
+    connection_asymptotic,
+    connection_ratio,
+    connection_recurrence,
+    gauss_laguerre,
+    gen_fun_sobolev,
     laguerre_coeffs,
     laguerre_derivative,
     laguerre_eval,
     laguerre_eval_all,
     laguerre_norm_sq,
     ratio_expansion,
+    sobolev_basis,
+    sobolev_coeffs,
+    sobolev_eval,
+    sobolev_eval_all,
+    sobolev_norm_sq,
+    solve,
 )
 
 GRID = np.linspace(-10.0, 40.0, 50)
@@ -35,6 +54,20 @@ def hyper_sum(alpha: float, n: int, x: float) -> float:
             )
             total += (-1) ** k * binom * mpmath.mpf(x) ** k / mpmath.factorial(k)
         return float(total)
+
+
+def reference_eval_all(family: LaguerreFamily, n_max: int, x):
+    """The three-term recurrence one row expression at a time: the kernel's reference."""
+    alpha = family.alpha
+    xa = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + xa.shape)
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = 1.0 + alpha - xa
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max):
+            out[n + 1] = ((2 * n + 1 + alpha - xa) * out[n] - (n + alpha) * out[n - 1]) / (n + 1)
+    return out
 
 
 class TestEval:
@@ -78,6 +111,100 @@ class TestEval:
             laguerre_eval(fam, 2, math.inf)
         with pytest.raises(ValueError):
             LaguerreFamily(-1.0)
+
+
+# -0.0, the tiny 1e-300 and the overflow regime at -4000 and 3000 (rows turn
+# inf, then nan, well before n = 240) are where a reordered operation would show.
+EDGE_X = st.sampled_from([-0.0, 0.0, 1e-300, 1.0, -4000.0, 3000.0]) | st.floats(-4000.0, 3000.0)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+
+
+class TestKernelIsReference:
+    """laguerre_eval_all reproduces the one-expression recurrence bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(-1.0, 8.0, exclude_min=True),
+        n_max=st.integers(0, 240),
+        x=EDGE_X | hnp.arrays(float, SHAPES, elements=EDGE_X),
+    )
+    def test_bit_identical_to_reference(self, alpha, n_max, x):
+        fam = LaguerreFamily(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = laguerre_eval_all(fam, n_max, x)
+        ref = reference_eval_all(fam, n_max, x)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("name, n_max", [("exp-decay", 100), ("rational-decay", 60)])
+    def test_solve_is_unchanged_on_the_reference(self, monkeypatch, name, n_max):
+        got = solve(builtin_problem(name), n_max)
+        monkeypatch.setattr(lagsob.solver, "laguerre_eval_all", reference_eval_all)
+        ref = solve(builtin_problem(name), n_max)
+        assert np.array_equal(got.g, ref.g) and np.array_equal(got.uhat, ref.uhat)
+        assert got.quad_report == ref.quad_report
+
+    def test_one_reused_row_buffer(self):
+        # Beyond the table itself: one len(x) buffer, plus up to 256 KiB that
+        # numpy's broadcasting may buffer at small sizes.  A kernel that
+        # allocates per row temporaries peaks at two len(x) arrays or more.
+        x = np.linspace(0.0, 50.0, 100_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = laguerre_eval_all(LaguerreFamily(1.0), 50, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes <= x.nbytes + 256 * 1024
+
+
+_L1 = LaguerreFamily(1.0)
+_BASIS = sobolev_basis(1.0, 5)
+
+# Every function taking a degree, an order or a rule size: (argument name,
+# lowest valid value, call returning the result's numbers).
+ORDER_CALLS = {
+    "laguerre_eval_all": ("n_max", 0, lambda n: laguerre_eval_all(_L1, n, 0.5)),
+    "laguerre_eval": ("n", 0, lambda n: laguerre_eval(_L1, n, 0.5)),
+    "laguerre_coeffs": ("n", 0, lambda n: laguerre_coeffs(_L1, n).coeffs),
+    "laguerre_norm_sq": ("n", 0, lambda n: laguerre_norm_sq(_L1, n)),
+    "laguerre_derivative": ("n", 0, lambda n: laguerre_derivative(_L1, n, 0.5)),
+    "ratio_expansion": ("n", 1, lambda n: ratio_expansion(1.0, 1.0, 0, -4.0, n, 2)),
+    "sobolev_basis": ("n_max", 0, lambda n: sobolev_basis(1.0, n).s),
+    "connection_recurrence": ("n_max", 1, lambda n: connection_recurrence(1.0, n).a),
+    "connection_ratio": ("n_max", 1, lambda n: connection_ratio(1.0, n)),
+    "connection_asymptotic": ("n", 1, lambda n: connection_asymptotic(1.0, n)),
+    "sobolev_eval_all": ("n", 0, lambda n: sobolev_eval_all(_BASIS, n, 0.5)),
+    "sobolev_eval": ("n", 0, lambda n: sobolev_eval(_BASIS, n, 0.5)),
+    "sobolev_coeffs": ("n", 0, lambda n: sobolev_coeffs(_BASIS, n).coeffs),
+    "sobolev_norm_sq": ("n", 0, lambda n: sobolev_norm_sq(_BASIS, n)),
+    "alternating_sum_check": ("n", 0, lambda n: alternating_sum_check(_BASIS, n, 0.5)),
+    "gen_fun_sobolev": ("n_trunc", 0, lambda n: gen_fun_sobolev(_BASIS, 0.5, 0.3, n)),
+    "gauss_laguerre": ("rule size m", 1, lambda m: gauss_laguerre(1.0, m).nodes),
+}
+
+
+class TestOrderCheck:
+    """One check for every order: bools, floats and values below range are refused by name."""
+
+    @pytest.mark.parametrize("name", ORDER_CALLS)
+    @pytest.mark.parametrize(
+        "bad", [True, 2.0, np.float64(2.0), None], ids=["True", "2.0", "float64", "below-range"]
+    )
+    def test_refused_by_name(self, name, bad):
+        arg, lo, call = ORDER_CALLS[name]
+        if bad is None:
+            bad = lo - 1
+        with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer in [{lo}, ")):
+            call(bad)
+
+    @pytest.mark.parametrize("name", ORDER_CALLS)
+    def test_numpy_integers_match_int(self, name):
+        _, _, call = ORDER_CALLS[name]
+        assert np.array_equal(call(np.int64(2)), call(2))
 
 
 class TestRecurrenceIdentities:

@@ -10,7 +10,7 @@ Quick start:
     >>> from lagsob import builtin_problem, solve, partial_sum
     >>> sol = solve(builtin_problem("exp-decay"), n_max=20)
     >>> round(partial_sum(sol, 20, 1.0), 6)
-    0.198766
+    0.198777
 """
 
 from .expressions import (

@@ -299,6 +299,8 @@ def main(argv=None) -> int:
             return run_validate(args)
     except ValueError as exc:
         return _config_error(str(exc))
+    except OSError as exc:
+        return _config_error(f"cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}")
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -110,12 +110,16 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
     # floats of the scalar expression, since 2n+1 is exact.  Row 1 is final.
     np.subtract((2 * np.arange(n_max) + 1 + alpha)[:, None], xf, out=rows[1:])
     tmp = np.empty_like(xf)
-    for n in range(1, n_max):
-        r = rows[n + 1]
-        r *= rows[n]
-        np.multiply(n + alpha, rows[n - 1], tmp)
+    # One view per row: rows n-1 and n are carried, row n+1 comes from the iterator.
+    it = iter(rows)
+    lo = next(it)
+    mid = next(it, lo)
+    for n, r in enumerate(it, start=1):
+        r *= mid
+        np.multiply(n + alpha, lo, tmp)
         r -= tmp
         r /= n + 1
+        lo, mid = mid, r
     return out
 
 

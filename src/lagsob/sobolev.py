@@ -161,13 +161,18 @@ def sobolev_eval_all(basis: SobolevBasis, n: int, x):
     """S_0(x)..S_n(x) by the forward connection recursion, one Laguerre pass.
 
     The recursion S_k = L_k^{(1)} - a_{k-1} S_{k-1} runs in place on the
-    Laguerre table, so only one (n+1) x len(x) array is formed.
+    Laguerre table with one reused row buffer, so only one (n+1) x len(x)
+    array is formed.
     """
     n = _check_order("n", n, hi=basis.n_max)
     out = laguerre_eval_all(_L1, n, x)
-    a = basis.connection.a
-    for k in range(1, n + 1):
-        out[k] -= a[k - 1] * out[k - 1]
+    rows = iter(out.reshape(n + 1, -1))
+    prev = next(rows)
+    tmp = np.empty_like(prev)
+    for a, r in zip(basis.connection.a, rows):
+        np.multiply(a, prev, out=tmp)
+        r -= tmp
+        prev = r
     return out
 
 

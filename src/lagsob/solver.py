@@ -103,9 +103,12 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     evals = 0
 
     def counted_rhs(x):
+        # Counted once rhs returns: a scalar-only rhs raises on the vector
+        # call and is then evaluated node by node.
         nonlocal evals
+        fx = rhs(x)
         evals += np.size(x)
-        return rhs(x)
+        return fx
 
     g = np.empty(n_max + 1)
     report = []
@@ -151,30 +154,31 @@ def partial_sum(sol: SpectralSolution, n: int, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _clenshaw(alpha: float, c, x):
-    """sum_k c_k L_k^{(alpha)}(x) by Clenshaw's backward recurrence.
+def _clenshaw(c, x):
+    """Columns of sum_k c[k] L_k^{(1)}(x), one backward Clenshaw sweep for all of them.
 
-    b_k = c_k + ((2k+1+alpha-x)/(k+1)) b_{k+1} - ((k+1+alpha)/(k+2)) b_{k+2},
-    and the sum is b_0.  The sweep carries d_k = b_k - b_{k+1} beside b_k
-    (Reinsch's form of the recurrence):
+    c has shape (n+1, r); the result has shape (r,) + x.shape.  For alpha = 1
+    the sweep b_k = c_k + ((2k+2-x)/(k+1)) b_{k+1} - b_{k+2} sums to b_0.  It
+    carries d_k = b_k - b_{k+1} beside b_k (Reinsch's form):
 
-        d_k = c_k + ((k+1+alpha)/(k+2)) d_{k+1} - ((x + (1-alpha)/(k+2))/(k+1)) b_{k+1}.
+        d_k = c_k + d_{k+1} - x b_{k+1} / (k+1),    b_k = b_{k+1} + d_k,
 
-    Near x = 0 the plain form multiplies b_{k+1} by a factor close to 2 and
-    errs by up to ~3e-13 of the sum's scale at n = 200; here the factor on
-    b_{k+1} is small there.  Memory is O(len(x)).
+    five in-place operations per step.  Near x = 0 the three-term form
+    multiplies b_{k+1} by a factor close to 2 and errs by up to ~3e-13 of the
+    sum's scale at n = 200; here the factor on b_{k+1} is small there.
+    Memory is three r x len(x) arrays.
     """
-    b = np.zeros_like(x)
-    d = np.zeros_like(x)
-    for k in range(len(c) - 1, -1, -1):
-        t = x + (1.0 - alpha) / (k + 2)
-        t *= b
+    xf = x.reshape(-1)
+    b = np.zeros((c.shape[1], xf.size))
+    d = np.zeros_like(b)
+    t = np.empty_like(b)
+    for k, ck in zip(range(len(c) - 1, -1, -1), c[::-1, :, None]):
+        np.multiply(xf, b, out=t)
         t /= k + 1
-        d *= (k + 1 + alpha) / (k + 2)
         d -= t
-        d += c[k]
+        d += ck
         b += d
-    return b
+    return b.reshape(c.shape[1:] + x.shape)
 
 
 def partial_sum_deriv(sol: SpectralSolution, n: int, x):
@@ -183,9 +187,11 @@ def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     [S_k(x) x e^{-x/2}]' = [S_k(x)(1 - x/2) + x S_k'(x)] e^{-x/2}.  The
     connection L_k^{(1)} = S_k + a_{k-1} S_{k-1}, read backwards, gives
     sum_k uhat_k S_k = sum_k c_k L_k^{(1)} with c_n = uhat_n and
-    c_k = uhat_k - a_k c_{k+1}; with L_k^{(1)}' = -L_{k-1}^{(2)} this makes
-    sum_k uhat_k S_k' = -sum_{k>=1} c_k L_{k-1}^{(2)}.  One scalar sweep and
-    two Clenshaw sweeps, so no (n+1) x len(x) table is formed.
+    c_k = uhat_k - a_k c_{k+1}.  With L_k^{(1)}' = -L_{k-1}^{(2)} and
+    L_{k-1}^{(2)} = sum_{j<k} L_j^{(1)} this makes
+    sum_k uhat_k S_k' = sum_j C_j L_j^{(1)} with C_j = -sum_{k>j} c_k.  One
+    scalar sweep, one reversed cumsum and one two-column Clenshaw sweep, so no
+    (n+1) x len(x) table and no L^{(2)} is formed.
     """
     n = _check_order("n", n, hi=sol.n_max)
     xa = _check_finite_scalar_or_array(x)
@@ -193,8 +199,9 @@ def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     c = sol.uhat[: n + 1].copy()
     for k in range(n - 1, -1, -1):
         c[k] -= a[k] * c[k + 1]
-    s = _clenshaw(1.0, c, xa)
-    ds = -_clenshaw(2.0, c[1:], xa)
+    tail = np.zeros_like(c)
+    tail[:-1] = -np.cumsum(c[:0:-1])[::-1]
+    s, ds = _clenshaw(np.column_stack([c, tail]), xa)
     out = (s * (1.0 - xa / 2.0) + ds * xa) * np.exp(-xa / 2.0)
     return float(out) if np.ndim(x) == 0 else out
 

@@ -270,6 +270,27 @@ class TestEnvironment:
         assert (env_dir / "an_table.csv").exists()
         assert not flag_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--problem", "exp-decay", "--nmax", "2"], ["coeffs", "--nmax", "2"],
+         ["basis", "--nmax", "2"]],
+        ids=["solve", "coeffs", "basis"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unwritable_out_dir_is_a_configuration_error(self, tmp_path, argv, below):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        out_dir = blocker / "sub" if below else blocker
+        env = {k: v for k, v in os.environ.items() if k != "LAGSOB_OUT_DIR"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagsob", *argv, "--out-dir", str(out_dir)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write ") and str(out_dir) in proc.stderr
+
 
 NO_SCIPY_SCRIPT = """
 import sys

@@ -1,11 +1,15 @@
-"""Every script in demos/ runs to completion against src/ with nothing on stderr."""
+"""The documented examples run: the package docstring's doctest, and every
+script in demos/ to completion against src/ with nothing on stderr."""
 
+import doctest
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import lagsob
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -26,3 +30,7 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_package_docstring_example_holds():
+    assert doctest.testmod(lagsob).failed == 0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lagsob import (
     BVProblem,
@@ -31,6 +32,8 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
+from lagsob.quadrature import M0
+from lagsob.solver import _clenshaw
 
 # ||u||^2 - cumulative Parseval sums for exp-decay, lam=1, n = 0..20 (exact).
 EPS_EXP_DECAY = [
@@ -117,6 +120,30 @@ def oracle_deriv(basis, uhat, n, x):
             total_s += u[k] * s
             total_ds += u[k] * ds
         return float((total_s * (1 - x / 2) + total_ds * x) * mpmath.exp(-x / 2))
+
+
+def reference_clenshaw(alpha, c, x):
+    """The general-alpha Reinsch sweep for sum_k c_k L_k^{(alpha)}(x); at alpha = 1 it is
+    the bit reference for every column of solver._clenshaw."""
+    b = np.zeros_like(x)
+    d = np.zeros_like(x)
+    for k in range(len(c) - 1, -1, -1):
+        t = x + (1.0 - alpha) / (k + 2)
+        t *= b
+        t /= k + 1
+        d *= (k + 1 + alpha) / (k + 2)
+        d -= t
+        d += c[k]
+        b += d
+    return b
+
+
+def oracle_laguerre_sums(c, x):
+    """sum_k c[k, j] L_k^{(1)}(x) for every column j, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        lag = _mp_laguerre_all(1, len(c) - 1, mpmath.mpf(float(x)))
+        return [float(mpmath.fsum(mpmath.mpf(float(ck)) * lk for ck, lk in zip(col, lag)))
+                for col in c.T]
 
 
 def traced_peak_bytes(fn, *args):
@@ -515,13 +542,73 @@ class TestDerivativeAgainstReference:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestClenshawKernel:
+    """solver._clenshaw: several coefficient columns in one alpha = 1 sweep."""
+
+    X = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 500.0])
+
+    @pytest.mark.parametrize("n", [0, 1, 20, 200])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_columns_match_mpmath_oracle(self, n, seed):
+        c = np.random.default_rng([n, seed]).standard_normal((n + 1, 2))
+        got = _clenshaw(c, self.X)
+        ref = np.array([oracle_laguerre_sums(c, xi) for xi in self.X]).T
+        assert got.shape == ref.shape == (2, self.X.size)
+        near = self.X <= 1.0
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+            assert np.max(np.abs(g[near] - r[near])) <= 1e-14 * np.max(np.abs(r[near]))
+
+    @pytest.mark.parametrize("n", [0, 1, 20, 200, 237])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_every_column_is_the_general_alpha_1_sweep_bit_for_bit(self, n, columns):
+        c = np.random.default_rng([n, columns]).standard_normal((n + 1, columns))
+        x = np.concatenate([self.X, np.linspace(0.0, 1000.0, 4001)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _clenshaw(c, x)
+            for j in range(columns):
+                assert np.array_equal(got[j], reference_clenshaw(1.0, c[:, j], x), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "x", [3.7, np.linspace(0.0, 40.0, 7), np.linspace(0.0, 500.0, 15).reshape(3, 5)],
+        ids=["0-d", "1-d", "2-d"],
+    )
+    def test_shape_is_columns_then_points(self, x):
+        x = np.asarray(x)
+        c = np.random.default_rng(5).standard_normal((21, 2))
+        got = _clenshaw(c, x)
+        assert got.shape == (2,) + x.shape
+        for j in range(2):
+            assert np.array_equal(got[j], reference_clenshaw(1.0, c[:, j], x))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.floats(1e-3, 1e3),
+        n=st.integers(0, 200),
+        x=st.floats(0.0, 500.0)
+        | hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+                     elements=st.floats(0.0, 500.0)),
+    )
+    def test_connection_loop_is_the_one_line_recursion_bit_for_bit(self, lam, n, x):
+        basis = sobolev_basis(lam, 200)
+        a = basis.connection.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sobolev_eval_all(basis, n, x)
+            out = laguerre_eval_all(LaguerreFamily(1.0), n, x)
+            for k in range(1, n + 1):
+                out[k] -= a[k - 1] * out[k - 1]
+        assert got.shape == out.shape
+        assert np.array_equal(got, out, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(out))
+
+
 class TestEvaluationMemory:
     """tracemalloc peaks at n = 200 on 20,000 points (exact, unlike RSS)."""
 
     x = np.linspace(0.0, 500.0, 20_000)
 
-    def test_derivative_stays_within_sixteen_vectors(self, solution_200):
-        assert traced_peak_bytes(partial_sum_deriv, solution_200, 200, self.x) <= 16 * self.x.size * 8
+    def test_derivative_stays_within_eight_vectors(self, solution_200):
+        assert traced_peak_bytes(partial_sum_deriv, solution_200, 200, self.x) <= 8 * self.x.size * 8
 
     def test_sobolev_table_is_built_once(self, solution_200):
         peak = traced_peak_bytes(sobolev_eval_all, solution_200.basis, 200, self.x)
@@ -544,6 +631,16 @@ class TestInstrumentation:
                 monkeypatch.setattr(mod, name, forbidden)
         sol = solve(builtin_problem("exp-decay"), n_max=8)
         assert sol.n_max == 8
+
+    @pytest.mark.parametrize(
+        "rhs", [lambda x: np.exp(-x), lambda x: math.exp(-x)], ids=["vectorised", "scalar-only"]
+    )
+    def test_rhs_count_is_the_nodes_of_the_sizes_tried(self, rhs):
+        # A scalar-only rhs raises on the vector call and is then evaluated
+        # node by node; only the evaluations that returned count.
+        sol = solve(BVProblem(lam=1.0, rhs=rhs), n_max=3)
+        tried = [m for r in sol.quad_report for m in (M0 << i for i in range(8)) if m <= r.m_used]
+        assert sol.integrand_evals == sum(tried) == 384
 
     def test_cost_is_linear_in_n_max(self):
         sol = solve(builtin_problem("exp-decay"), n_max=20)

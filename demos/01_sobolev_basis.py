@@ -22,7 +22,7 @@ basis = sobolev_basis(lam, 10)
 print(f"lambda = {lam}")
 print("\nFirst Sobolev polynomials (monomial coefficients, constant term first):")
 for n in range(5):
-    c = sobolev_coeffs(basis, n).coeffs
+    c = sobolev_coeffs(basis, n).coef
     parts = []
     for k, v in enumerate(c):
         body = f"{abs(v):.6g}" + (f"*x^{k}" if k else "")
@@ -33,7 +33,7 @@ print("\nConnection coefficients, recurrence vs closed ratio form:")
 print(f"  {'n':>4} {'a_n (recurrence)':>20} {'a_n (ratio)':>20} {'1 - 2 sqrt(lam/n)':>20}")
 a_ratio = connection_ratio(lam, 10)
 for n in range(10):
-    a_rec = basis.connection.a[n]
+    a_rec = basis.a[n]
     a_rat = a_ratio[n]
     asym = connection_asymptotic(lam, n) if n >= 1 else float("nan")
     print(f"  {n:>4} {a_rec:>20.15f} {a_rat:>20.15f} {asym:>20.15f}")

@@ -21,6 +21,7 @@ import numpy as np
 
 from .expressions import ExpressionError, parse_expression, to_callable
 from .sobolev import (
+    _check_lam,
     connection_asymptotic,
     connection_ratio,
     connection_recurrence,
@@ -114,7 +115,7 @@ def run_solve(args) -> int:
     have_exact = problem.exact is not None and problem.exact_deriv is not None
 
     # coeffs.csv: the basis carries a_0..a_{n_max}, one a_n per row.
-    a = sol.basis.connection.a
+    a = sol.basis.a
     rows = []
     for n in range(args.n_max + 1):
         r = sol.quad_report[n]
@@ -172,7 +173,7 @@ def run_solve(args) -> int:
 
 
 def run_coeffs(args) -> int:
-    a_rec = connection_recurrence(args.lam, args.n_max + 1).a
+    a_rec = connection_recurrence(args.lam, args.n_max + 1)
     a_rat = connection_ratio(args.lam, args.n_max + 1)
     rows = []
     for n in range(args.n_max + 1):
@@ -198,7 +199,7 @@ def run_basis(args) -> int:
     header = "n," + ",".join(f"c{k}" for k in range(args.n_max + 1))
     rows = []
     for n in range(args.n_max + 1):
-        c = sobolev_coeffs(basis, n).coeffs
+        c = sobolev_coeffs(basis, n).coef
         padded = [_fmt(v) for v in c] + [""] * (args.n_max - n)
         rows.append([str(n)] + padded)
     _write_csv(out / "basis_coeffs.csv", header, rows)
@@ -285,8 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.out_dir = _resolve_out_dir(args)
     try:
-        if args.lam <= 0.0:
-            return _config_error("--lambda must be > 0")
+        _check_lam(args.lam)
         if getattr(args, "n_max", 0) < 0:
             return _config_error("--nmax must be >= 0")
         if args.command == "solve":

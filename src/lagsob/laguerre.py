@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "LaguerreFamily",
-    "PolyCoeffs",
     "laguerre_eval",
     "laguerre_eval_all",
     "laguerre_coeffs",
@@ -41,33 +40,6 @@ class LaguerreFamily:
     def __post_init__(self):
         if not (self.alpha > -1.0) or math.isinf(self.alpha):
             raise ValueError(f"Laguerre parameter must satisfy alpha > -1, got {self.alpha!r}")
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Dense monomial coefficients c0..cn, ascending powers."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficient vector must be non-empty and one-dimensional")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
-
-    def derivative(self) -> "PolyCoeffs":
-        if self.degree == 0:
-            return PolyCoeffs(np.zeros(1))
-        return PolyCoeffs(np.polynomial.polynomial.polyder(self.coeffs))
 
 
 def _check_finite_scalar_or_array(x):
@@ -129,8 +101,8 @@ def laguerre_eval(family: LaguerreFamily, n: int, x):
     return laguerre_eval_all(family, n, x)[n]
 
 
-def laguerre_coeffs(family: LaguerreFamily, n: int) -> PolyCoeffs:
-    """Monomial coefficients of L_n^{(alpha)}.
+def laguerre_coeffs(family: LaguerreFamily, n: int) -> np.polynomial.Polynomial:
+    """L_n^{(alpha)} as a numpy Polynomial: monomial coefficients, ascending powers.
 
     c_0 = binom(n+alpha, n) and c_{k+1}/c_k = -(n-k) / ((k+1)(k+alpha+1)),
     so the whole vector follows from one ratio sweep.  Rejected for n > 170
@@ -147,7 +119,7 @@ def laguerre_coeffs(family: LaguerreFamily, n: int) -> PolyCoeffs:
     c[0] = c0
     for k in range(n):
         c[k + 1] = -c[k] * (n - k) / ((k + 1) * (k + alpha + 1))
-    return PolyCoeffs(c)
+    return np.polynomial.Polynomial(c)
 
 
 def laguerre_norm_sq(family: LaguerreFamily, n: int) -> float:

@@ -113,13 +113,18 @@ def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:
     return _build_rule(float(alpha), _check_order("rule size m", m, 1, M_MAX))
 
 
-def _eval_on_nodes(g: Callable, nodes: np.ndarray) -> np.ndarray:
+def _vectorised(f: Callable, x) -> np.ndarray:
+    """f at every point of x: one call on the whole array, its result broadcast to
+    x's shape, or one call per point if that fails (a scalar-only f)."""
     try:
-        vals = np.asarray(g(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise TypeError
+        vals = np.asarray(f(x), dtype=float)
+        return vals if vals.shape == np.shape(x) else np.broadcast_to(vals, np.shape(x))
     except (TypeError, ValueError):
-        vals = np.array([float(g(float(t))) for t in nodes])
+        return np.array([float(f(float(t))) for t in np.ravel(x)]).reshape(np.shape(x))
+
+
+def _eval_on_nodes(g: Callable, nodes: np.ndarray) -> np.ndarray:
+    vals = _vectorised(g, nodes)
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))

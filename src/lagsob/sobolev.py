@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laguerre import LaguerreFamily, PolyCoeffs, _check_order, laguerre_coeffs, laguerre_eval_all
+from .laguerre import LaguerreFamily, _check_order, laguerre_coeffs, laguerre_eval_all
 from .quadrature import gauss_laguerre, integrate
 from .specfun import bessel_j
 
 __all__ = [
-    "ConnectionSequence",
     "SobolevBasis",
     "connection_recurrence",
     "connection_ratio",
@@ -51,29 +50,19 @@ def _check_lam(lam: float) -> float:
     return float(lam)
 
 
-@dataclass(frozen=True)
-class ConnectionSequence:
-    """Coefficients a_0..a_{N-1} linking the Laguerre and Sobolev bases."""
-
-    lam: float
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("connection sequence must hold at least a_0")
-        if not np.all((arr > 0.0) & (arr < 1.0)):
-            raise RuntimeError("connection coefficients left (0, 1); recurrence is broken")
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-    @property
-    def n_max(self) -> int:
-        return self.a.size
+def _checked_connection(a) -> np.ndarray:
+    """a_0..a_{N-1} as a read-only copy; N >= 1 and every a_n lies in (0, 1)."""
+    arr = np.array(a, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("connection sequence must hold at least a_0")
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise RuntimeError("connection coefficients left (0, 1); recurrence is broken")
+    arr.setflags(write=False)
+    return arr
 
 
-def connection_recurrence(lam: float, n_max: int) -> ConnectionSequence:
-    """a_0 = 2/(4 lam + 2), then a_n = (n+2) / (4 lam + 2(n+1) - n a_{n-1})."""
+def connection_recurrence(lam: float, n_max: int) -> np.ndarray:
+    """a_0 = 2/(4 lam + 2), then a_n = (n+2) / (4 lam + 2(n+1) - n a_{n-1}), n < n_max."""
     lam = _check_lam(lam)
     n_max = _check_order("n_max", n_max, 1)
     a = np.empty(n_max)
@@ -83,7 +72,7 @@ def connection_recurrence(lam: float, n_max: int) -> ConnectionSequence:
         if denom <= 0.0:
             raise RuntimeError(f"nonpositive denominator at n={n}; lam={lam} invalid?")
         a[n] = (n + 2) / denom
-    return ConnectionSequence(lam=lam, a=a)
+    return _checked_connection(a)
 
 
 def connection_ratio(lam: float, n_max: int) -> np.ndarray:
@@ -118,18 +107,19 @@ def connection_asymptotic(lam: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SobolevBasis:
-    """Connection coefficients plus squared energy norms s(0)..s(N)."""
+    """Connection coefficients a_0, a_1, ... and squared energy norms s(0)..s(N) at lam."""
 
     lam: float
-    connection: ConnectionSequence
+    a: np.ndarray
     s: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.s, dtype=float).copy()
-        if not np.all(arr > 0.0):
+        s = np.array(self.s, dtype=float)
+        if not np.all(s > 0.0):
             raise RuntimeError("squared norms must be positive; connection sequence is broken")
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
+        s.setflags(write=False)
+        object.__setattr__(self, "a", _checked_connection(self.a))
+        object.__setattr__(self, "s", s)
 
     @property
     def n_max(self) -> int:
@@ -153,8 +143,8 @@ def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
     """
     lam = _check_lam(lam)
     n_max = _check_order("n_max", n_max)
-    conn = connection_recurrence(lam, n_max + 1)
-    return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, conn.a, n_max))
+    a = connection_recurrence(lam, n_max + 1)
+    return SobolevBasis(lam=lam, a=a, s=_norm_recurrence(lam, a, n_max))
 
 
 def sobolev_eval_all(basis: SobolevBasis, n: int, x):
@@ -169,7 +159,7 @@ def sobolev_eval_all(basis: SobolevBasis, n: int, x):
     rows = iter(out.reshape(n + 1, -1))
     prev = next(rows)
     tmp = np.empty_like(prev)
-    for a, r in zip(basis.connection.a, rows):
+    for a, r in zip(basis.a, rows):
         np.multiply(a, prev, out=tmp)
         r -= tmp
         prev = r
@@ -181,17 +171,15 @@ def sobolev_eval(basis: SobolevBasis, n: int, x):
     return sobolev_eval_all(basis, n, x)[n]
 
 
-def sobolev_coeffs(basis: SobolevBasis, n: int) -> PolyCoeffs:
-    """Monomial coefficients of S_n; degree capped as in laguerre_coeffs."""
+def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:
+    """S_n as a numpy Polynomial; degree capped as in laguerre_coeffs."""
     n = _check_order("n", n, hi=basis.n_max)
     coeffs = np.array([1.0])
-    a = basis.connection.a
     for k in range(1, n + 1):
-        lk = laguerre_coeffs(_L1, k).coeffs
-        new = lk.copy()
-        new[: coeffs.size] -= a[k - 1] * coeffs
+        new = laguerre_coeffs(_L1, k).coef
+        new[: coeffs.size] -= basis.a[k - 1] * coeffs
         coeffs = new
-    return PolyCoeffs(coeffs)
+    return np.polynomial.Polynomial(coeffs)
 
 
 def sobolev_norm_sq(basis: SobolevBasis, n: int) -> float:
@@ -200,15 +188,15 @@ def sobolev_norm_sq(basis: SobolevBasis, n: int) -> float:
     return float(basis.s[n])
 
 
-def sobolev_inner_poly(basis: SobolevBasis, p: PolyCoeffs, q: PolyCoeffs, m: int) -> float:
-    """<p, q>_S by exact-degree quadrature (alpha=1 and alpha=2 rules of size m)."""
-    if p.degree + q.degree + 2 > 2 * m - 1:
+def sobolev_inner_poly(basis: SobolevBasis, p, q, m: int) -> float:
+    """<p, q>_S of numpy Polynomials by exact-degree alpha=1 and alpha=2 rules of size m."""
+    if p.degree() + q.degree() + 2 > 2 * m - 1:
         raise ValueError(
-            f"rule size m={m} too small for degrees {p.degree} and {q.degree}; "
+            f"rule size m={m} too small for degrees {p.degree()} and {q.degree()}; "
             f"need deg p + deg q + 2 <= 2m - 1"
         )
     lam = basis.lam
-    dp, dq = p.derivative(), q.derivative()
+    dp, dq = p.deriv(), q.deriv()
     rule1 = gauss_laguerre(1.0, m)
     rule2 = gauss_laguerre(2.0, m)
     first = integrate(rule1, lambda x: p(x) * q(x) * (1.0 + lam - 0.25 * x))

@@ -25,6 +25,7 @@ import numpy as np
 from .laguerre import LaguerreFamily, _check_finite_scalar_or_array, _check_order, laguerre_eval_all
 from .quadrature import (
     AdaptiveResult,
+    _vectorised,
     gauss_laguerre,
     integrate_adaptive,
     integrate_halfweight,
@@ -113,8 +114,9 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     g = np.empty(n_max + 1)
     report = []
     for n in range(n_max + 1):
+        # Only rhs falls back to per-node calls; the table is built once per rule.
         def h(x, n=n):
-            return counted_rhs(x) * laguerre_eval_all(_L1, n, x)[n]
+            return _vectorised(counted_rhs, x) * laguerre_eval_all(_L1, n, x)[n]
 
         res = integrate_adaptive(lambda m: integrate_halfweight(h, m))
         g[n] = res.value
@@ -124,7 +126,7 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     fhat[0] = g[0]
     steps = 0
     for n in range(1, n_max + 1):
-        fhat[n] = g[n] - basis.connection.a[n - 1] * fhat[n - 1]
+        fhat[n] = g[n] - basis.a[n - 1] * fhat[n - 1]
         steps += 1
     uhat = fhat / basis.s
 
@@ -195,7 +197,7 @@ def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     """
     n = _check_order("n", n, hi=sol.n_max)
     xa = _check_finite_scalar_or_array(x)
-    a = sol.basis.connection.a
+    a = sol.basis.a
     c = sol.uhat[: n + 1].copy()
     for k in range(n - 1, -1, -1):
         c[k] -= a[k] * c[k + 1]
@@ -261,11 +263,12 @@ def sobolev_error_direct(sol: SpectralSolution, n: int) -> float:
     n = _check_order("n", n, hi=sol.n_max)
     p = _require_exact(sol)
 
+    # A scalar-only exact solution falls back alone, so each node set needs one table.
     def diff(x):
-        return p.exact(x) - partial_sum(sol, n, x)
+        return _vectorised(p.exact, x) - partial_sum(sol, n, x)
 
     def ddiff(x):
-        return p.exact_deriv(x) - partial_sum_deriv(sol, n, x)
+        return _vectorised(p.exact_deriv, x) - partial_sum_deriv(sol, n, x)
 
     value, _ = _energy_norm_sq(diff, ddiff, p.lam)
     return value

@@ -3,7 +3,8 @@
 Each suite checks one family of exact identities at fixed tolerances and
 returns (name, passed, detail).  They are intentionally redundant with the
 unit tests: this is the runtime self-check a user can execute on their own
-installation.
+installation.  Running worsts use np.maximum, so a NaN residual fails its
+suite (the builtin max(0.0, nan) is 0.0).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _suite_recurrence(lam):
                 (n + 1) * vals[n + 1] - (2 * n + 1 + alpha - _GRID) * vals[n] + (n + alpha) * vals[n - 1]
             )
             scale = np.maximum(1.0, np.abs(vals[n + 1]))
-            worst = max(worst, float(np.max(resid / scale)))
+            worst = np.maximum(worst, float(np.max(resid / scale)))
     return worst <= 1e-10, f"max residual {worst:.2e} (tol 1e-10)"
 
 
@@ -60,7 +61,7 @@ def _suite_structure(lam):
         for n in range(1, 61):
             resid = np.abs(lo[n] - (hi[n] - hi[n - 1]))
             scale = np.maximum(1.0, np.abs(lo[n]))
-            worst = max(worst, float(np.max(resid / scale)))
+            worst = np.maximum(worst, float(np.max(resid / scale)))
     return worst <= 1e-10, f"max residual {worst:.2e} (tol 1e-10)"
 
 
@@ -74,7 +75,7 @@ def _suite_derivative(lam):
                 h = 1e-4
                 fd = (laguerre_eval(fam, n, x + h) - laguerre_eval(fam, n, x - h)) / (2 * h)
                 err = abs(fd - exact) / max(1.0, abs(exact))
-                worst = max(worst, err)
+                worst = np.maximum(worst, err)
     return worst <= 1e-6, f"max central-difference mismatch {worst:.2e} (tol 1e-6)"
 
 
@@ -95,7 +96,7 @@ def _suite_quadrature(lam):
             for k in ks:
                 exact = math.exp(math.lgamma(k + alpha + 1.0))
                 got = float(np.dot(rule.weights, rule.nodes**k))
-                worst = max(worst, abs(got - exact) / exact)
+                worst = np.maximum(worst, abs(got - exact) / exact)
     return worst <= 1e-9, f"max moment error {worst:.2e} (tol 1e-9)"
 
 
@@ -105,10 +106,10 @@ def _suite_gram_laguerre(lam):
     rule = gauss_laguerre(1.0, n_max + 1)
     vals = laguerre_eval_all(fam, n_max, rule.nodes)
     gram = (vals * rule.weights) @ vals.T
-    diag_err = max(
+    diag_err = np.max([
         abs(gram[n, n] - laguerre_norm_sq(fam, n)) / laguerre_norm_sq(fam, n)
         for n in range(n_max + 1)
-    )
+    ])
     off = gram - np.diag(np.diag(gram))
     off_max = float(np.max(np.abs(off)))
     ok = diag_err <= 1e-9 and off_max <= 1e-9
@@ -117,7 +118,7 @@ def _suite_gram_laguerre(lam):
 
 def _suite_connection(lam):
     n_top = 200
-    a_rec = connection_recurrence(lam, n_top + 1).a
+    a_rec = connection_recurrence(lam, n_top + 1)
     a_rat = connection_ratio(lam, n_top + 1)
     n = np.arange(n_top + 1)
     in_bounds = (a_rec > 0.0) & (a_rec < 1.0) & (a_rec < (n + 2) / (4 * lam + n + 2) + 1e-15)
@@ -140,9 +141,9 @@ def _suite_sobolev_gram(lam):
             val = sobolev_inner_poly(basis, polys[i], polys[j], m)
             if i == j:
                 ref = sobolev_norm_sq(basis, i)
-                diag_err = max(diag_err, abs(val - ref) / ref)
+                diag_err = np.maximum(diag_err, abs(val - ref) / ref)
             else:
-                off_max = max(off_max, abs(val))
+                off_max = np.maximum(off_max, abs(val))
     ok = off_max <= 1e-9 and diag_err <= 1e-10
     return ok, f"max off-diagonal {off_max:.2e} (tol 1e-9), diag rel err {diag_err:.2e} (tol 1e-10)"
 
@@ -152,7 +153,7 @@ def _suite_alternating_sum(lam):
     worst = 0.0
     for n in (0, 1, 5, 10, 20, 40):
         for x in (0.0, 1.0, 5.0, 10.0):
-            worst = max(worst, alternating_sum_check(basis, n, x))
+            worst = np.maximum(worst, alternating_sum_check(basis, n, x))
     return worst <= 1e-10, f"max residual {worst:.2e} (tol 1e-10)"
 
 
@@ -165,7 +166,7 @@ def _suite_hardy_hille(lam):
         (2.0, 2.0, 2.0, -0.1),
     ]:
         lhs, rhs = hardy_hille_check(alpha, x, y, omega, 400)
-        worst = max(worst, abs(lhs - rhs) / (abs(rhs) + 1e-300))
+        worst = np.maximum(worst, abs(lhs - rhs) / (abs(rhs) + 1e-300))
     return worst <= 1e-8, f"max relative mismatch {worst:.2e} (tol 1e-8)"
 
 
@@ -174,7 +175,7 @@ def _suite_gen_fun(lam):
     worst = 0.0
     for x, omega in [(1.0, 0.3), (2.0, 0.5), (0.5, 0.7), (1.5, 0.2)]:
         lhs, rhs = gen_fun_sobolev(basis, x, omega, 700)
-        worst = max(worst, abs(lhs - rhs) / (abs(rhs) + 1e-300))
+        worst = np.maximum(worst, abs(lhs - rhs) / (abs(rhs) + 1e-300))
     return worst <= 1e-8, f"max relative mismatch {worst:.2e} (tol 1e-8)"
 
 

@@ -64,7 +64,7 @@ S_COEFFS_LAM1 = [
 def test_basis_fixtures():
     basis = lg.sobolev_basis(1.0, 4)
     for n, expected in enumerate(S_COEFFS_LAM1):
-        got = lg.sobolev_coeffs(basis, n).coeffs
+        got = lg.sobolev_coeffs(basis, n).coef
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert abs(g - float(e)) <= 1e-12
@@ -73,18 +73,18 @@ def test_basis_fixtures():
 @criterion(2, "connection coefficient cross-validation")
 def test_connection_cross_validation():
     for lam in LAM_SET:
-        conn = lg.connection_recurrence(lam, 201)
-        assert conn.a[0] == pytest.approx(1.0 / (2.0 * lam + 1.0), abs=1e-15)
-        assert np.all((conn.a > 0.0) & (conn.a < 1.0))
+        a = lg.connection_recurrence(lam, 201)
+        assert a[0] == pytest.approx(1.0 / (2.0 * lam + 1.0), abs=1e-15)
+        assert np.all((a > 0.0) & (a < 1.0))
         ratio = lg.connection_ratio(lam, 201)
         for n in range(201):
-            assert abs(conn.a[n] - ratio[n]) <= 1e-12 * ratio[n]
+            assert abs(a[n] - ratio[n]) <= 1e-12 * ratio[n]
 
 
 @criterion(3, "connection coefficient asymptotics")
 def test_connection_asymptotics():
     lam = 1.0
-    a = lg.connection_recurrence(lam, 10**4 + 1).a
+    a = lg.connection_recurrence(lam, 10**4 + 1)
     target = 2.0 * math.sqrt(lam)
 
     def gap(n):
@@ -101,7 +101,7 @@ def test_norm_recurrence_consistency():
         p = lg.sobolev_coeffs(basis, n)
         direct = lg.sobolev_inner_poly(basis, p, p, 12)
         assert direct == pytest.approx(basis.s[n], rel=1e-10)
-    a, s = basis.connection.a, basis.s
+    a, s = basis.a, basis.s
     for n in range(1, 201):
         assert a[n - 1] * s[n - 1] == pytest.approx(n * (n + 1) / 4.0, rel=1e-10)
 

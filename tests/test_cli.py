@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from lagsob import (
-    ConnectionSequence,
     SobolevBasis,
     connection_ratio,
     connection_recurrence,
@@ -116,7 +115,7 @@ class TestSolveCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 0
         _, rows = read_csv(tmp_path / "coeffs.csv")
-        assert [float(r[1]) for r in rows] == connection_recurrence(2.0, 8).a.tolist()
+        assert [float(r[1]) for r in rows] == connection_recurrence(2.0, 8).tolist()
 
     def test_rational_decay_reports_quadrature_cap(self, tmp_path):
         code = main(["solve", "--problem", "rational-decay", "--nmax", "20",
@@ -233,15 +232,23 @@ class TestValidateCommand:
     def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
         # a_0 off by 1e-6, norms recomputed from the shifted sequence.
         def shifted_basis(lam, n_max):
-            a = sobolev_basis(lam, n_max).connection.a.copy()
+            a = sobolev_basis(lam, n_max).a.copy()
             a[0] += 1e-6
-            conn = ConnectionSequence(lam=lam, a=a)
-            return SobolevBasis(lam=lam, connection=conn, s=_norm_recurrence(lam, a, n_max))
+            return SobolevBasis(lam=lam, a=a, s=_norm_recurrence(lam, a, n_max))
 
         monkeypatch.setattr("lagsob.validation.sobolev_basis", shifted_basis)
         assert main(["validate"]) == 1
         out = capsys.readouterr()
         assert "sobolev-gram" in out.err
+
+    def test_nan_residual_is_a_fail_line(self, capsys):
+        # At lam = 1e200, L_n^{(1)}(-4 lam) overflows and every alternating-sum
+        # residual is NaN; a running max() used to drop them and print PASS.
+        assert main(["validate", "--lambda", "1e200"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        alt = lines[SUITE_NAMES.index("alternating-sum")].split()
+        assert alt[:2] == ["alternating-sum", "FAIL"]
+        assert "nan" in alt
 
     @pytest.mark.parametrize("lam", ["60", "200"])
     def test_raising_suite_is_a_fail_line(self, capsys, lam):
@@ -321,3 +328,16 @@ def test_solve_coeffs_and_errors_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "an_table.csv").exists() and (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["solve", "--problem", "exp-decay"], ["coeffs"], ["basis"], ["validate"]],
+    ids=["solve", "coeffs", "basis", "validate"],
+)
+def test_invalid_lambda_is_a_config_error(tmp_path, capsys, argv, lam):
+    # The library's lam check owns the rule, so NaN and inf fail like 0 and -1.
+    assert main(argv + ["--lambda", lam, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not any(tmp_path.iterdir())

@@ -17,6 +17,7 @@ from lagsob import (
     laguerre_coeffs,
     laguerre_eval_all,
     LaguerreFamily,
+    SobolevBasis,
     sobolev_basis,
     sobolev_coeffs,
     sobolev_eval,
@@ -45,18 +46,18 @@ S_COEFFS_LAM1 = [
 
 class TestConnectionSequence:
     def test_first_values_lam1(self):
-        a = connection_recurrence(1.0, 3).a
+        a = connection_recurrence(1.0, 3)
         assert a[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert a[1] == pytest.approx(9.0 / 23.0, abs=1e-15)
         assert a[2] == pytest.approx(23.0 / 53.0, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_first_coefficient_closed_form(self, lam):
-        assert connection_recurrence(lam, 1).a[0] == pytest.approx(1.0 / (2.0 * lam + 1.0))
+        assert connection_recurrence(lam, 1)[0] == pytest.approx(1.0 / (2.0 * lam + 1.0))
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_recurrence_matches_ratio_formula(self, lam):
-        a = connection_recurrence(lam, 201).a
+        a = connection_recurrence(lam, 201)
         ratio = connection_ratio(lam, 201)
         for n in range(201):
             assert abs(a[n] - ratio[n]) <= 1e-12 * ratio[n]
@@ -85,7 +86,7 @@ class TestConnectionSequence:
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_bounds_and_residual(self, lam):
-        a = connection_recurrence(lam, 201).a
+        a = connection_recurrence(lam, 201)
         assert np.all((a > 0.0) & (a < 1.0))
         for n in range(201):
             assert a[n] < (n + 2) / (4 * lam + n + 2) + 1e-15
@@ -102,15 +103,15 @@ class TestConnectionSequence:
 
     def test_large_lam_limit(self):
         lam = 1e6
-        assert connection_recurrence(lam, 1).a[0] == pytest.approx(2.0 / (4.0 * lam + 2.0))
+        assert connection_recurrence(lam, 1)[0] == pytest.approx(2.0 / (4.0 * lam + 2.0))
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_basis_carries_a_n_max(self, n):
         # The basis holds a_0..a_{n_max}, the prefix of a longer recurrence run.
         for lam in (0.5, 2.0):
-            basis_a = sobolev_basis(lam, n).connection.a
-            assert np.array_equal(basis_a, connection_recurrence(lam, n + 1).a)
-            assert np.array_equal(basis_a, connection_recurrence(lam, n + 10).a[: n + 1])
+            basis_a = sobolev_basis(lam, n).a
+            assert np.array_equal(basis_a, connection_recurrence(lam, n + 1))
+            assert np.array_equal(basis_a, connection_recurrence(lam, n + 10)[: n + 1])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -124,6 +125,35 @@ class TestConnectionSequence:
         with pytest.raises(ValueError):
             connection_ratio(1.0, 0)
 
+    def test_results_are_read_only(self):
+        basis = sobolev_basis(1.0, 5)
+        for arr in (connection_recurrence(1.0, 5), basis.a, basis.s):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
+class TestSobolevBasisChecks:
+    A, S = [0.3, 0.4], [1.5, 3.8]
+
+    def test_accepts_and_copies_valid_data(self):
+        a = np.array(self.A)
+        basis = SobolevBasis(lam=1.0, a=a, s=self.S)
+        a[0] = 0.9
+        assert basis.a.tolist() == self.A and basis.s.tolist() == self.S
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_rejects_a_outside_open_unit_interval(self, bad):
+        with pytest.raises(RuntimeError, match="left \\(0, 1\\)"):
+            SobolevBasis(lam=1.0, a=[0.3, bad], s=self.S)
+
+    def test_rejects_nonpositive_norm(self):
+        with pytest.raises(RuntimeError, match="positive"):
+            SobolevBasis(lam=1.0, a=self.A, s=[1.5, 0.0])
+
+    def test_rejects_empty_connection(self):
+        with pytest.raises(ValueError, match="at least a_0"):
+            SobolevBasis(lam=1.0, a=[], s=self.S)
+
 
 class TestAsymptotics:
     def test_formula_values(self):
@@ -132,12 +162,12 @@ class TestAsymptotics:
 
     def test_remainder_at_large_n(self):
         # threshold frozen from a calibration run: |a_n - asym| = 2.74e-4 at n = 10^4
-        a = connection_recurrence(1.0, 10**4 + 1).a
+        a = connection_recurrence(1.0, 10**4 + 1)
         assert abs(a[10**4] - connection_asymptotic(1.0, 10**4)) <= 5e-4
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_scaled_gap_approaches_limit(self, lam):
-        a = connection_recurrence(lam, 10**4 + 1).a
+        a = connection_recurrence(lam, 10**4 + 1)
         target = 2.0 * math.sqrt(lam)
 
         def gap(n):
@@ -159,24 +189,24 @@ class TestSobolevPolynomials:
     def test_coefficients_match_printed_rationals(self):
         basis = sobolev_basis(1.0, 4)
         for n, expected in enumerate(S_COEFFS_LAM1):
-            got = sobolev_coeffs(basis, n).coeffs
+            got = sobolev_coeffs(basis, n).coef
             assert got == pytest.approx([float(c) for c in expected], abs=1e-12)
 
     def test_leading_coefficient(self):
         basis = sobolev_basis(2.0, 12)
         for n in (1, 5, 12):
-            c = sobolev_coeffs(basis, n).coeffs
+            c = sobolev_coeffs(basis, n).coef
             assert c[-1] == pytest.approx((-1.0) ** n / math.factorial(n), rel=1e-13)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_connection_identity_coefficient_level(self, lam):
         basis = sobolev_basis(lam, 25)
         fam = LaguerreFamily(1.0)
-        a = basis.connection.a
+        a = basis.a
         for n in range(1, 26):
-            lk = laguerre_coeffs(fam, n).coeffs
-            sn = sobolev_coeffs(basis, n).coeffs
-            sm = sobolev_coeffs(basis, n - 1).coeffs
+            lk = laguerre_coeffs(fam, n).coef
+            sn = sobolev_coeffs(basis, n).coef
+            sm = sobolev_coeffs(basis, n - 1).coef
             resid = lk.copy()
             resid -= sn
             resid[: sm.size] -= a[n - 1] * sm
@@ -191,7 +221,7 @@ class TestSobolevPolynomials:
         ref = np.zeros_like(lag)
         ref[0] = 1.0
         for k in range(1, n + 1):
-            ref[k] = lag[k] - basis.connection.a[k - 1] * ref[k - 1]
+            ref[k] = lag[k] - basis.a[k - 1] * ref[k - 1]
         assert np.array_equal(sobolev_eval_all(basis, n, x), ref)
 
 
@@ -208,7 +238,7 @@ class TestSobolevNorms:
     def test_product_identity(self, lam):
         # a_{n-1} s(n-1) = n (n+1) / 4, restating the projection coefficient
         basis = sobolev_basis(lam, 200)
-        a, s = basis.connection.a, basis.s
+        a, s = basis.a, basis.s
         for n in range(1, 201):
             assert a[n - 1] * s[n - 1] == pytest.approx(n * (n + 1) / 4.0, rel=1e-10)
 
@@ -243,11 +273,9 @@ class TestSobolevInnerProduct:
     def test_positive_definite_on_random_polynomials(self):
         rng = np.random.default_rng(42)
         basis = sobolev_basis(1.0, 10)
-        from lagsob import PolyCoeffs
-
         for _ in range(100):
             deg = int(rng.integers(0, 11))
-            p = PolyCoeffs(rng.uniform(-1.0, 1.0, deg + 1))
+            p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, deg + 1))
             assert sobolev_inner_poly(basis, p, p, 12) > 0.0
 
     def test_rejects_insufficient_rule(self):

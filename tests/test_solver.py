@@ -84,7 +84,7 @@ def sobolev_deriv_all(basis, n, x):
     ds = np.zeros((n + 1,) + np.shape(x))
     if n >= 1:
         lag2 = laguerre_eval_all(LaguerreFamily(2.0), n - 1, x)
-        a = basis.connection.a
+        a = basis.a
         for k in range(1, n + 1):
             ds[k] = -lag2[k - 1] - a[k - 1] * ds[k - 1]
     return ds
@@ -115,7 +115,7 @@ def oracle_deriv(basis, uhat, n, x):
         s, ds = mpmath.mpf(1), mpmath.mpf(0)
         total_s, total_ds = u[0], mpmath.mpf(0)
         for k in range(1, n + 1):
-            a = mpmath.mpf(float(basis.connection.a[k - 1]))
+            a = mpmath.mpf(float(basis.a[k - 1]))
             s, ds = lag1[k] - a * s, -lag2[k - 1] - a * ds
             total_s += u[k] * s
             total_ds += u[k] * ds
@@ -218,7 +218,7 @@ class TestSolve:
         sol = solve(BVProblem(lam=1.0, rhs=f), n_max=5)
         expected_g = [0.0, 0.0, 0.0, 4.0, 0.0, 0.0]
         assert sol.g == pytest.approx(expected_g, abs=1e-11)
-        a = sol.basis.connection.a
+        a = sol.basis.a
         fhat = np.zeros(6)
         for n in range(1, 6):
             fhat[n] = expected_g[n] - a[n - 1] * fhat[n - 1]
@@ -226,7 +226,7 @@ class TestSolve:
         assert sol.uhat == pytest.approx(fhat / sol.basis.s, abs=1e-11)
 
     def test_recurrence_consistency_invariant(self, exp_solution):
-        a = exp_solution.basis.connection.a
+        a = exp_solution.basis.a
         for n in range(1, 21):
             resid = abs(
                 exp_solution.g[n]
@@ -591,7 +591,7 @@ class TestClenshawKernel:
     )
     def test_connection_loop_is_the_one_line_recursion_bit_for_bit(self, lam, n, x):
         basis = sobolev_basis(lam, 200)
-        a = basis.connection.a
+        a = basis.a
         with np.errstate(over="ignore", invalid="ignore"):
             got = sobolev_eval_all(basis, n, x)
             out = laguerre_eval_all(LaguerreFamily(1.0), n, x)
@@ -633,14 +633,49 @@ class TestInstrumentation:
         assert sol.n_max == 8
 
     @pytest.mark.parametrize(
-        "rhs", [lambda x: np.exp(-x), lambda x: math.exp(-x)], ids=["vectorised", "scalar-only"]
+        "rhs", [lambda x: np.exp(-x), lambda x: math.exp(-x), lambda x: 2.0],
+        ids=["vectorised", "scalar-only", "constant"],
     )
     def test_rhs_count_is_the_nodes_of_the_sizes_tried(self, rhs):
         # A scalar-only rhs raises on the vector call and is then evaluated
-        # node by node; only the evaluations that returned count.
+        # node by node; only the evaluations that returned count.  A constant
+        # rhs returns one float for all nodes, which is broadcast.
         sol = solve(BVProblem(lam=1.0, rhs=rhs), n_max=3)
         tried = [m for r in sol.quad_report for m in (M0 << i for i in range(8)) if m <= r.m_used]
         assert sol.integrand_evals == sum(tried) == 384
+
+    def test_scalar_only_rhs_builds_the_vectorised_tables(self, monkeypatch):
+        # Only the rhs falls back node by node; L_n^{(1)} is tabulated once per rule.
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return laguerre_eval_all(*args)
+
+        monkeypatch.setattr("lagsob.solver.laguerre_eval_all", counting)
+        sols = [solve(BVProblem(lam=1.0, rhs=f), n_max=6)
+                for f in (lambda x: np.exp(-x), lambda x: math.exp(-x))]
+        assert calls[: len(calls) // 2] == calls[len(calls) // 2:]
+        assert sols[0].integrand_evals == sols[1].integrand_evals
+        assert np.array_equal(sols[0].g, sols[1].g)
+
+    def test_scalar_only_exact_builds_the_vectorised_tables(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return sobolev_eval_all(*args)
+
+        monkeypatch.setattr("lagsob.solver.sobolev_eval_all", counting)
+        p = builtin_problem("exp-decay")
+        scalar = BVProblem(
+            lam=1.0, rhs=p.rhs,
+            exact=lambda x: x * math.cos(x) * math.exp(-x),
+            exact_deriv=lambda x: math.exp(-x) * (math.cos(x) - x * math.sin(x) - x * math.cos(x)),
+        )
+        errs = [sobolev_error_direct(solve(q, n_max=4), 4) for q in (p, scalar)]
+        assert calls[: len(calls) // 2] == calls[len(calls) // 2:]
+        assert errs[1] == pytest.approx(errs[0], rel=1e-12)
 
     def test_cost_is_linear_in_n_max(self):
         sol = solve(builtin_problem("exp-decay"), n_max=20)

@@ -13,7 +13,7 @@ from lagsob import (
     connection_ratio,
     sobolev_basis,
     sobolev_coeffs,
-    sobolev_eval,
+    sobolev_eval_all,
 )
 
 lam = 1.0
@@ -43,6 +43,6 @@ print("  " + "  ".join(f"{v:.6f}" for v in basis.s[:6]))
 
 print("\nSample values on a small grid:")
 xs = np.array([0.0, 1.0, 2.0, 5.0])
+table = sobolev_eval_all(basis, 4, xs)
 for n in (1, 2, 4):
-    vals = [sobolev_eval(basis, n, float(x)) for x in xs]
-    print(f"  S_{n} at x={xs.tolist()}: " + "  ".join(f"{v:+.6f}" for v in vals))
+    print(f"  S_{n} at x={xs.tolist()}: " + "  ".join(f"{v:+.6f}" for v in table[n]))

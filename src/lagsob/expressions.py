@@ -23,22 +23,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = [
-    "ExpressionError",
-    "Token",
-    "Expr",
-    "Num",
-    "Var",
-    "Neg",
-    "Bin",
-    "Call",
-    "tokenize",
-    "parse",
-    "parse_expression",
-    "evaluate",
-    "format_expr",
-    "to_callable",
-]
+__all__ = ["ExpressionError", "Expr", "parse_expression", "format_expr", "to_callable"]
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -226,8 +211,9 @@ class _Parser:
         )
 
 
-def parse(tokens: list[Token]) -> Expr:
-    """Parse a token list; every token must be consumed."""
+def parse_expression(text: str) -> Expr:
+    """Parse text into a tree; every token must be consumed."""
+    tokens = tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
     parser = _Parser(tokens)
@@ -238,15 +224,6 @@ def parse(tokens: list[Token]) -> Expr:
             f"trailing input at offset {trailing.pos}: {trailing.text!r}", trailing.pos
         )
     return tree
-
-
-def parse_expression(text: str) -> Expr:
-    return parse(tokenize(text))
-
-
-def evaluate(expr: Expr, x: float) -> float:
-    """Evaluate at a point; domain violations and non-finite results raise."""
-    return to_callable(expr)(float(x))
 
 
 def _eval(expr: Expr, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "laguerre_coeffs",
     "laguerre_norm_sq",
     "laguerre_derivative",
-    "ratio_expansion",
 ]
 
 # Monomial coefficients involve binom(n+alpha, n) ~ Gamma(n+alpha+1)/n!,
@@ -137,26 +136,3 @@ def laguerre_derivative(family: LaguerreFamily, n: int, x):
     shifted = LaguerreFamily(family.alpha + 1.0)
     return -laguerre_eval(shifted, n - 1, x)
 
-
-def ratio_expansion(alpha: float, beta: float, j: int, z: float, n: int, d: int) -> float:
-    """Leading terms of the large-n expansion of L_{n+j}^{(alpha)}(z) / L_n^{(beta)}(z).
-
-    Valid for z < 0 (the only regime used here); d in {1, 2} selects how many
-    terms of the n^{-m/2} series to keep:
-
-        (-z/n)^((beta-alpha)/2) * (U_0 + U_1 / sqrt(n)),
-        U_0 = 1,
-        U_1 = (beta^2 - alpha^2 + 2 z (beta - alpha - 2 j)) / (4 sqrt(-z)).
-
-    Intended as a test oracle against directly computed ratios.
-    """
-    if not (z < 0.0):
-        raise ValueError(f"ratio expansion requires z < 0, got {z!r}")
-    if d not in (1, 2):
-        raise ValueError(f"only d in {{1, 2}} is supported, got {d}")
-    n = _check_order("n", n, 1)
-    total = 1.0
-    if d == 2:
-        u1 = (beta**2 - alpha**2 + 2.0 * z * (beta - alpha - 2.0 * j)) / (4.0 * math.sqrt(-z))
-        total += u1 / math.sqrt(n)
-    return (-z / n) ** ((beta - alpha) / 2.0) * total

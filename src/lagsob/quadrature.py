@@ -30,7 +30,6 @@ __all__ = [
     "gauss_laguerre",
     "integrate",
     "integrate_plain",
-    "integrate_halfweight",
     "integrate_adaptive",
 ]
 
@@ -145,16 +144,6 @@ def integrate_plain(rule: QuadratureRule, f: Callable) -> float:
     the far nodes of large rules even when its contribution is negligible).
     """
     return float(np.dot(rule.plain_weights, _eval_on_nodes(f, rule.nodes)))
-
-
-def integrate_halfweight(h: Callable, m: int) -> float:
-    """Integral of h(x) x e^{-x/2} dx over (0, inf) by an m-point rule.
-
-    Substituting x = 2t turns the weight into the alpha=1 Laguerre weight:
-    the integral equals 4 * integral of h(2t) t e^{-t} dt.
-    """
-    rule = gauss_laguerre(1.0, m)
-    return integrate(rule, lambda t: 4.0 * h(2.0 * t))
 
 
 class AdaptiveResult(NamedTuple):

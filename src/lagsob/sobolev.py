@@ -31,10 +31,8 @@ __all__ = [
     "connection_ratio",
     "connection_asymptotic",
     "sobolev_basis",
-    "sobolev_eval",
     "sobolev_eval_all",
     "sobolev_coeffs",
-    "sobolev_norm_sq",
     "sobolev_inner_poly",
     "alternating_sum_check",
     "gen_fun_sobolev",
@@ -95,11 +93,11 @@ def connection_ratio(lam: float, n_max: int) -> np.ndarray:
         m, e = math.frexp(hi)
         lo, hi = math.ldexp(lo, -e), m
         a[n] = (n + 2.0) / (n + 1.0) * lo / hi
-    return a
+    return _checked_connection(a)
 
 
 def connection_asymptotic(lam: float, n: int) -> float:
-    """First-order large-n form 1 - 2 sqrt(lam/n); a test oracle only."""
+    """First-order large-n form 1 - 2 sqrt(lam/n) of a_n; the a_asymptotic column of `coeffs`."""
     lam = _check_lam(lam)
     n = _check_order("n", n, 1)
     return 1.0 - 2.0 * math.sqrt(lam / n)
@@ -166,11 +164,6 @@ def sobolev_eval_all(basis: SobolevBasis, n: int, x):
     return out
 
 
-def sobolev_eval(basis: SobolevBasis, n: int, x):
-    """S_n(x) = L_n^{(1)}(x) - a_{n-1} S_{n-1}(x), S_0 = 1."""
-    return sobolev_eval_all(basis, n, x)[n]
-
-
 def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:
     """S_n as a numpy Polynomial; degree capped as in laguerre_coeffs."""
     n = _check_order("n", n, hi=basis.n_max)
@@ -180,12 +173,6 @@ def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:
         new[: coeffs.size] -= basis.a[k - 1] * coeffs
         coeffs = new
     return np.polynomial.Polynomial(coeffs)
-
-
-def sobolev_norm_sq(basis: SobolevBasis, n: int) -> float:
-    """s(n) = squared energy norm of S_n(x) x e^{-x/2}."""
-    n = _check_order("n", n, hi=basis.n_max)
-    return float(basis.s[n])
 
 
 def sobolev_inner_poly(basis: SobolevBasis, p, q, m: int) -> float:
@@ -208,17 +195,17 @@ def alternating_sum_check(basis: SobolevBasis, n: int, x: float) -> float:
     """Residual of the telescoped connection identity, relative to its left side.
 
     S_n(x) L_n^{(1)}(-4 lam)/(n+1) telescopes into the alternating sum of
-    L_k^{(1)}(x) L_k^{(1)}(-4 lam)/(k+1); returns |lhs - rhs| / |lhs|.
+    L_k^{(1)}(x) L_k^{(1)}(-4 lam)/(k+1).  Divided by its left-hand factor the
+    identity reads S_n(x) = sum_k (-1)^{n-k} a_k ... a_{n-1} L_k^{(1)}(x), with
+    the a_k of connection_ratio, so no value at -4 lam is formed and none
+    overflows.  Returns |lhs - rhs| / |lhs|.
     """
     n = _check_order("n", n, hi=basis.n_max)
-    lam = basis.lam
-    lag_neg = laguerre_eval_all(_L1, n, -4.0 * lam)
-    lag_x = laguerre_eval_all(_L1, n, x)
-    sn = sobolev_eval(basis, n, x)
-    lhs = sn * lag_neg[n] / (n + 1.0)
-    rhs = 0.0
-    for k in range(n + 1):
-        rhs += (-1.0) ** (n - k) * lag_x[k] * lag_neg[k] / (k + 1.0)
+    a = connection_ratio(basis.lam, n + 1)[:n]
+    # weights[k] = a_k ... a_{n-1} times (-1)^{n-k}; weights[n] = 1.
+    weights = np.append(np.cumprod(-a[::-1])[::-1], 1.0)
+    lhs = sobolev_eval_all(basis, n, x)[n]
+    rhs = float(np.dot(weights, laguerre_eval_all(_L1, n, x)))
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
@@ -240,13 +227,10 @@ def gen_fun_sobolev(basis: SobolevBasis, x: float, omega: float, n_trunc: int):
     root = math.sqrt(x * lam * omega)
     z = 4.0 * root / (1.0 - omega)
 
-    lag_neg = laguerre_eval_all(_L1, n_trunc, -4.0 * lam)
-    sn = sobolev_eval_all(basis, n_trunc, x)
-    lhs = 0.0
-    wn = 1.0
-    for n in range(n_trunc + 1):
-        lhs += sn[n] * lag_neg[n] / (n + 1.0) * wn
-        wn *= omega
+    # L_n^{(1)}(-4 lam)/(n+1) = 1/(a_0 ... a_{n-1}) with the a_k of connection_ratio.
+    a = connection_ratio(lam, n_trunc + 1)[:n_trunc]
+    weights = np.append(1.0, np.cumprod(omega / a))
+    lhs = float(np.dot(weights, sobolev_eval_all(basis, n_trunc, x)))
     rhs = (
         math.exp(-(x - 4.0 * lam) * omega / (1.0 - omega))
         / (1.0 - omega**2)

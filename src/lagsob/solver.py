@@ -27,8 +27,8 @@ from .quadrature import (
     AdaptiveResult,
     _vectorised,
     gauss_laguerre,
+    integrate,
     integrate_adaptive,
-    integrate_halfweight,
     integrate_plain,
 )
 from .sobolev import SobolevBasis, sobolev_basis, sobolev_eval_all
@@ -118,7 +118,8 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
         def h(x, n=n):
             return _vectorised(counted_rhs, x) * laguerre_eval_all(_L1, n, x)[n]
 
-        res = integrate_adaptive(lambda m: integrate_halfweight(h, m))
+        # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.
+        res = integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
         g[n] = res.value
         report.append(res)
 

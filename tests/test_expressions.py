@@ -10,22 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagsob import (
-    ExpressionError,
-    evaluate,
-    format_expr,
-    parse,
-    parse_expression,
-    to_callable,
-    tokenize,
-)
+from lagsob import ExpressionError, format_expr, parse_expression, to_callable
 from lagsob import expressions
-from lagsob.expressions import FUNCTIONS, Bin, Call, Neg, Num, Var
+from lagsob.expressions import FUNCTIONS, Bin, Call, Neg, Num, Var, tokenize
 
 RHS_EXP_DECAY = "exp(-x)*(3*cos(x) - 2*(-1 + x)*sin(x))"
 U_EXP_DECAY = "x*cos(x)*exp(-x)"
 RHS_RATIONAL = "10*((7 + x*(-3 + x*(3 + x)))*cos(x) - 2*(-1 + x + 2*x^2)*sin(x))/(x + 1)^5"
 U_RATIONAL = "10*x*cos(x)/(x + 1)^3"
+
+
+def at_point(text, x):
+    return to_callable(parse_expression(text))(x)
 
 
 def rhs_exp_decay(x):
@@ -123,24 +119,24 @@ class TestTokenize:
 
     def test_number_forms(self):
         for text, value in [("2", 2.0), ("2.5", 2.5), (".5", 0.5), ("1e-3", 1e-3), ("2.5E+2", 250.0)]:
-            assert evaluate(parse_expression(text), 0.0) == value
+            assert at_point(text, 0.0) == value
 
 
 class TestParse:
     def test_precedence_chain(self):
-        assert evaluate(parse_expression("2+3*4^2"), 0.0) == 50.0
+        assert at_point("2+3*4^2", 0.0) == 50.0
 
     def test_power_is_right_associative(self):
-        assert evaluate(parse_expression("2^3^2"), 0.0) == 512.0
+        assert at_point("2^3^2", 0.0) == 512.0
 
     def test_unary_minus_binds_below_power(self):
-        assert evaluate(parse_expression("-x^2"), 3.0) == -9.0
-        assert evaluate(parse_expression("(-x)^2"), 3.0) == 9.0
-        assert evaluate(parse_expression("2^-2"), 0.0) == 0.25
+        assert at_point("-x^2", 3.0) == -9.0
+        assert at_point("(-x)^2", 3.0) == 9.0
+        assert at_point("2^-2", 0.0) == 0.25
 
     def test_unary_minus_binds_above_multiplication(self):
-        assert evaluate(parse_expression("-2*3"), 0.0) == -6.0
-        assert evaluate(parse_expression("2--3"), 0.0) == 5.0
+        assert at_point("-2*3", 0.0) == -6.0
+        assert at_point("2--3", 0.0) == 5.0
 
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ExpressionError):
@@ -166,33 +162,33 @@ class TestParse:
             parse_expression("sin(x, 1)")
 
     def test_reference_formulas_parse(self):
-        assert evaluate(parse_expression(RHS_EXP_DECAY), 0.0) == pytest.approx(3.0)
-        assert evaluate(parse_expression(U_RATIONAL), 1.0) == pytest.approx(
+        assert at_point(RHS_EXP_DECAY, 0.0) == pytest.approx(3.0)
+        assert at_point(U_RATIONAL, 1.0) == pytest.approx(
             10 * math.cos(1.0) / 8.0
         )
 
 
 class TestEvaluate:
     def test_basic(self):
-        assert evaluate(parse_expression("x^2"), 3.0) == 9.0
-        assert abs(evaluate(parse_expression("sin(pi)"), 0.0)) <= 1e-15
-        assert evaluate(parse_expression("e"), 0.0) == math.e
+        assert at_point("x^2", 3.0) == 9.0
+        assert abs(at_point("sin(pi)", 0.0)) <= 1e-15
+        assert at_point("e", 0.0) == math.e
 
     def test_domain_errors(self):
         with pytest.raises(ExpressionError):
-            evaluate(parse_expression("1/x"), 0.0)
+            at_point("1/x", 0.0)
         with pytest.raises(ExpressionError):
-            evaluate(parse_expression("ln(x)"), -1.0)
+            at_point("ln(x)", -1.0)
         with pytest.raises(ExpressionError):
-            evaluate(parse_expression("sqrt(x)"), -4.0)
+            at_point("sqrt(x)", -4.0)
         with pytest.raises(ExpressionError):
-            evaluate(parse_expression("exp(x)"), 1e4)
+            at_point("exp(x)", 1e4)
         with pytest.raises(ExpressionError):
-            evaluate(parse_expression("(-1)^0.5"), 0.0)
+            at_point("(-1)^0.5", 0.0)
 
     def test_error_message_carries_point(self):
         with pytest.raises(ExpressionError, match="x=0.0"):
-            evaluate(parse_expression("1/x"), 0.0)
+            at_point("1/x", 0.0)
 
     @pytest.mark.parametrize(
         "text,ref",
@@ -207,7 +203,7 @@ class TestEvaluate:
         expr = parse_expression(text)
         rng = np.random.default_rng(123)
         for x in rng.uniform(0.0, 40.0, 100):
-            got = evaluate(expr, float(x))
+            got = to_callable(expr)(float(x))
             want = ref(float(x))
             assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
@@ -253,18 +249,24 @@ class TestArrayEvaluation:
         for x, r in zip(GRID, ref):
             if r is None:
                 with pytest.raises(ExpressionError):
-                    evaluate(tree, x)
+                    to_callable(tree)(x)
             else:
-                assert evaluate(tree, x) == r
+                assert to_callable(tree)(x) == r
 
     def test_arrays_take_no_per_point_path(self, monkeypatch):
-        def per_point(expr, x):
-            raise AssertionError("array evaluation went through the scalar evaluate")
+        # Every node is evaluated on the whole array, never point by point.
+        seen = []
+        original = expressions._eval
 
-        monkeypatch.setattr(expressions, "evaluate", per_point)
+        def whole_array(expr, x):
+            seen.append(x.shape)
+            return original(expr, x)
+
+        monkeypatch.setattr(expressions, "_eval", whole_array)
         tree = parse_expression(RHS_RATIONAL)
         x = np.linspace(0.0, 40.0, 101)
         assert np.array_equal(to_callable(tree)(x), [reference_eval(tree, v) for v in x])
+        assert seen and set(seen) == {x.shape}
 
     def test_shapes_and_scalars(self):
         f = to_callable(parse_expression("x*exp(-x)"))
@@ -362,10 +364,10 @@ class TestFuzz:
         for _ in range(20000):
             s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
             try:
-                tree = parse(tokenize(s))
+                tree = parse_expression(s)
             except ExpressionError:
                 continue
             try:
-                evaluate(tree, 1.7)
+                to_callable(tree)(1.7)
             except ExpressionError:
                 continue

@@ -17,6 +17,17 @@ def test_every_public_name_resolves_to_its_module_object():
             assert getattr(lagsob, name) is getattr(mod, name)
 
 
-def test_expression_tree_types_are_exported():
-    for name in ("Token", "Expr", "Num", "Var", "Neg", "Bin", "Call"):
-        assert getattr(lagsob, name) is getattr(expressions, name)
+def test_public_names_are_pinned():
+    assert lagsob.__all__ == [
+        "ExpressionError", "Expr", "parse_expression", "format_expr", "to_callable",
+        "LaguerreFamily", "laguerre_eval", "laguerre_eval_all", "laguerre_coeffs",
+        "laguerre_norm_sq", "laguerre_derivative",
+        "QuadratureRule", "AdaptiveResult", "gauss_laguerre", "integrate", "integrate_plain",
+        "integrate_adaptive",
+        "SobolevBasis", "connection_recurrence", "connection_ratio", "connection_asymptotic",
+        "sobolev_basis", "sobolev_eval_all", "sobolev_coeffs", "sobolev_inner_poly",
+        "alternating_sum_check", "gen_fun_sobolev", "hardy_hille_check",
+        "BVProblem", "SpectralSolution", "solve", "partial_sum", "partial_sum_deriv",
+        "sobolev_error", "sobolev_error_direct", "builtin_problem",
+        "bessel_j",
+    ]

@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from lagsob import (
+    BVProblem,
     LaguerreFamily,
     gauss_laguerre,
     integrate,
     integrate_adaptive,
-    integrate_halfweight,
     integrate_plain,
     laguerre_eval_all,
+    solve,
 )
 from lagsob import quadrature
 from lagsob.quadrature import M_MAX, TOL
 
 
 def adaptive_halfweight(h):
-    return integrate_adaptive(lambda m: integrate_halfweight(h, m))
+    """int h(x) x e^{-x/2} dx = 4 int h(2t) t e^{-t} dt under the policy, as in solve."""
+    return integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
 
 
 class TestRuleConstruction:
@@ -187,20 +189,26 @@ class TestIntegratePlain:
 
 
 class TestHalfweight:
+    """The moments g(n) = int f(x) L_n^{(1)}(x) x e^{-x/2} dx that solve integrates."""
+
     def test_moments(self):
-        assert integrate_halfweight(lambda x: np.ones_like(x), 2) == pytest.approx(4.0, rel=1e-14)
-        assert integrate_halfweight(lambda x: x, 2) == pytest.approx(16.0, rel=1e-14)
+        # f = 1: sum_n g(n) t^n = 4 / (1 + t)^2, so g(n) = 4 (n+1) (-1)^n.
+        g = solve(BVProblem(lam=1.0, rhs=np.ones_like), 30).g
+        n = np.arange(31)
+        assert np.all(np.abs(g - 4.0 * (n + 1) * (-1.0) ** n) <= 1e-13 * 4.0 * (n + 1))
 
     def test_exponential_closed_form(self):
-        # h = e^{-x/2} makes the full integrand x e^{-x}, whose integral is 1
-        assert integrate_halfweight(lambda x: np.exp(-x / 2.0), 64) == pytest.approx(1.0, rel=1e-13)
+        # f = e^{-x/2} makes the integrand L_n^{(1)} x e^{-x}: g(n) = delta_{n0}
+        g = solve(BVProblem(lam=1.0, rhs=lambda x: np.exp(-x / 2.0)), 30).g
+        assert g[0] == pytest.approx(1.0, rel=1e-13)
+        assert np.max(np.abs(g[1:])) <= 1e-13
 
     def test_rational_vs_trapezoid_oracle(self):
         xs = np.linspace(0.0, 200.0, 10**6 + 1)
         y = xs * np.exp(-xs / 2.0) / (1.0 + xs) ** 2
         oracle = np.sum((y[1:] + y[:-1]) * np.diff(xs)) / 2
-        res = adaptive_halfweight(lambda x: 1.0 / (1.0 + x) ** 2)
-        assert res.value == pytest.approx(float(oracle), abs=1e-8)
+        sol = solve(BVProblem(lam=1.0, rhs=lambda x: 1.0 / (1.0 + x) ** 2), 0)
+        assert sol.g[0] == pytest.approx(float(oracle), abs=1e-8)
 
 
 class TestAdaptive:

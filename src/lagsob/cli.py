@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -46,8 +45,6 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 
-ENV_OUT_DIR = "LAGSOB_OUT_DIR"
-
 COEFF_MODE_LIMIT = 30
 
 
@@ -55,12 +52,13 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """One row per zipped cell of columns; str cells as they are, the rest via _fmt."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def _config_error(message: str) -> int:
@@ -115,47 +113,28 @@ def run_solve(args) -> int:
     have_exact = problem.exact is not None and problem.exact_deriv is not None
 
     # coeffs.csv: the basis carries a_0..a_{n_max}, one a_n per row.
-    a = sol.basis.a
-    rows = []
-    for n in range(args.n_max + 1):
-        r = sol.quad_report[n]
-        rows.append(
-            [
-                str(n),
-                _fmt(a[n]),
-                _fmt(sol.g[n]),
-                _fmt(sol.fhat[n]),
-                _fmt(sol.basis.s[n]),
-                _fmt(sol.uhat[n]),
-                _fmt(r.achieved_tol),
-            ]
-        )
-    _write_csv(out / "coeffs.csv", "n,a_n,g_n,f_n,s_n,uhat_n,quad_tol_achieved", rows)
+    _write_csv(
+        out / "coeffs.csv", "n,a_n,g_n,f_n,s_n,uhat_n,quad_tol_achieved",
+        range(args.n_max + 1), sol.basis.a, sol.g, sol.fhat, sol.basis.s, sol.uhat,
+        [r.achieved_tol for r in sol.quad_report],
+    )
 
     # solution.csv on the sample grid.
     grid = np.linspace(args.x_min, args.x_max, args.count)
     approx = partial_sum(sol, args.n_max, grid)
     if have_exact:
         exact_vals = np.asarray(problem.exact(grid), dtype=float)
-        header = f"x,approx_{args.n_max},u_exact,abs_err"
-        rows = [
-            [_fmt(x), _fmt(a), _fmt(u), _fmt(abs(a - u))]
-            for x, a, u in zip(grid, approx, exact_vals)
-        ]
+        _write_csv(out / "solution.csv", f"x,approx_{args.n_max},u_exact,abs_err",
+                   grid, approx, exact_vals, np.abs(approx - exact_vals))
     else:
-        header = f"x,approx_{args.n_max}"
-        rows = [[_fmt(x), _fmt(a)] for x, a in zip(grid, approx)]
-    _write_csv(out / "solution.csv", header, rows)
+        _write_csv(out / "solution.csv", f"x,approx_{args.n_max}", grid, approx)
 
     # convergence.csv needs the exact solution.
     eps = None
     if have_exact:
         eps = [sobolev_error(sol, n) for n in range(args.n_max + 1)]
-        rows = [
-            [str(n), _fmt(e), _fmt(math.log10(e)) if e > 0.0 else "-inf"]
-            for n, e in enumerate(eps)
-        ]
-        _write_csv(out / "convergence.csv", "n,eps_n,log10_eps_n", rows)
+        _write_csv(out / "convergence.csv", "n,eps_n,log10_eps_n", range(args.n_max + 1), eps,
+                   [math.log10(e) if e > 0.0 else "-inf" for e in eps])
 
     quad_ok = sol.quad_converged and all(r.converged for r in sol.norm_report.values())
 
@@ -175,14 +154,10 @@ def run_solve(args) -> int:
 def run_coeffs(args) -> int:
     a_rec = connection_recurrence(args.lam, args.n_max + 1)
     a_rat = connection_ratio(args.lam, args.n_max + 1)
-    rows = []
-    for n in range(args.n_max + 1):
-        asym = connection_asymptotic(args.lam, n) if n >= 1 else math.nan
-        rows.append(
-            [str(n), _fmt(a_rec[n]), _fmt(a_rat[n]), _fmt(abs(a_rec[n] - a_rat[n])), _fmt(asym)]
-        )
+    asym = [math.nan] + [connection_asymptotic(args.lam, n) for n in range(1, args.n_max + 1)]
     out = args.out_dir
-    _write_csv(out / "an_table.csv", "n,a_rec,a_ratio,abs_diff,a_asymptotic", rows)
+    _write_csv(out / "an_table.csv", "n,a_rec,a_ratio,abs_diff,a_asymptotic",
+               range(args.n_max + 1), a_rec, a_rat, np.abs(a_rec - a_rat), asym)
     print(f"wrote {out / 'an_table.csv'} ({args.n_max + 1} rows, lam={args.lam:g})")
     return EXIT_OK
 
@@ -196,22 +171,17 @@ def run_basis(args) -> int:
     basis = sobolev_basis(args.lam, args.n_max)
     out = args.out_dir
 
+    # One row per n: its coefficients c_0..c_n, then blanks up to c_{n_max}.
+    cells = [
+        [n, *sobolev_coeffs(basis, n).coef] + [""] * (args.n_max - n)
+        for n in range(args.n_max + 1)
+    ]
     header = "n," + ",".join(f"c{k}" for k in range(args.n_max + 1))
-    rows = []
-    for n in range(args.n_max + 1):
-        c = sobolev_coeffs(basis, n).coef
-        padded = [_fmt(v) for v in c] + [""] * (args.n_max - n)
-        rows.append([str(n)] + padded)
-    _write_csv(out / "basis_coeffs.csv", header, rows)
+    _write_csv(out / "basis_coeffs.csv", header, *zip(*cells))
 
     grid = np.linspace(args.x_min, args.x_max, args.count)
-    vals = sobolev_eval_all(basis, args.n_max, grid)
     header = "x," + ",".join(f"S{k}" for k in range(args.n_max + 1))
-    rows = [
-        [_fmt(x)] + [_fmt(vals[k, i]) for k in range(args.n_max + 1)]
-        for i, x in enumerate(grid)
-    ]
-    _write_csv(out / "basis_samples.csv", header, rows)
+    _write_csv(out / "basis_samples.csv", header, grid, *sobolev_eval_all(basis, args.n_max, grid))
     print(f"wrote {out / 'basis_coeffs.csv'} and {out / 'basis_samples.csv'} (lam={args.lam:g})")
     return EXIT_OK
 
@@ -239,69 +209,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False, nmax=True):
+    def command(name, run, help, grid=False, nmax=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="potential strength lambda > 0 (default %(default)s)")
         if nmax:
             p.add_argument("--nmax", "--n-max", dest="n_max", type=int, default=DEFAULT_N_MAX,
                            help="highest basis index (default %(default)s)")
-        p.add_argument("--out-dir", dest="out_dir", type=Path, default=None,
-                       help=f"output directory (default cwd; env {ENV_OUT_DIR} overrides)")
+        p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path.cwd(),
+                       help="output directory (default: the working directory)")
         if grid:
             p.add_argument("--x-min", dest="x_min", type=float, default=0.0)
             p.add_argument("--x-max", dest="x_max", type=float, default=20.0)
             p.add_argument("--count", dest="count", type=int, default=401,
                            help="number of sample-grid points (default %(default)s)")
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve a boundary value problem")
-    common(p_solve, grid=True)
+    p_solve = command("solve", run_solve, "solve a boundary value problem", grid=True)
     p_solve.add_argument("--problem", choices=["exp-decay", "rational-decay"],
                          help="builtin problem name")
     p_solve.add_argument("--f-expr", dest="f_expr", help="right-hand side f(x) as an expression")
     p_solve.add_argument("--u-expr", dest="u_expr", help="exact solution u(x) for error reporting")
     p_solve.add_argument("--du-expr", dest="du_expr", help="derivative u'(x), required with --u-expr")
 
-    p_coeffs = sub.add_parser("coeffs", help="tabulate connection coefficients a_n")
-    common(p_coeffs)
-
-    p_basis = sub.add_parser("basis", help="emit basis coefficients and samples")
-    common(p_basis, grid=True)
-
-    p_validate = sub.add_parser("validate", help="run the identity validation suites")
-    common(p_validate, nmax=False)
-
+    command("coeffs", run_coeffs, "tabulate connection coefficients a_n")
+    command("basis", run_basis, "emit basis coefficients and samples", grid=True)
+    command("validate", run_validate, "run the identity validation suites", nmax=False)
     return parser
-
-
-def _resolve_out_dir(args) -> Path:
-    env = os.environ.get(ENV_OUT_DIR)
-    if env:
-        return Path(env)
-    if args.out_dir is not None:
-        return Path(args.out_dir)
-    return Path.cwd()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.out_dir = _resolve_out_dir(args)
     try:
         _check_lam(args.lam)
         if getattr(args, "n_max", 0) < 0:
             return _config_error("--nmax must be >= 0")
-        if args.command == "solve":
-            return run_solve(args)
-        if args.command == "coeffs":
-            return run_coeffs(args)
-        if args.command == "basis":
-            return run_basis(args)
-        if args.command == "validate":
-            return run_validate(args)
+        return args.run(args)
     except ValueError as exc:
         return _config_error(str(exc))
     except OSError as exc:
         return _config_error(f"cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}")
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def _eval_on_nodes(g: Callable, nodes: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"integrand returned {vals[i]!r} at node x={nodes[i]!r}")
+        raise ValueError(f"integrand returned {float(vals[i])!r} at node x={float(nodes[i])!r}")
     return vals
 
 

@@ -5,16 +5,28 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lagsob.validation
 from lagsob import (
+    BVProblem,
     SobolevBasis,
+    builtin_problem,
+    connection_asymptotic,
     connection_ratio,
     connection_recurrence,
+    parse_expression,
+    partial_sum,
     sobolev_basis,
+    sobolev_coeffs,
+    sobolev_error,
+    sobolev_eval_all,
+    solve,
+    to_callable,
 )
 from lagsob.cli import main
 from lagsob.sobolev import _norm_recurrence
@@ -251,6 +263,16 @@ class TestValidateCommand:
         assert alt[:2] == ["alternating-sum", "FAIL"]
         assert "nan" in alt
 
+    def test_overflowing_generating_function_fails_without_warnings(self, capsys):
+        # At lam = 1e9 the series weights omega^n / (a_0 ... a_{n-1}) leave
+        # double range; the suite must fail on its own, not warn on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--lambda", "1e9"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1].split()[:3] == ["sobolev-generating-function", "FAIL", "raised"]
+        assert err.startswith("validation failed: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("lam", ["60", "200"])
     def test_raising_suite_is_a_fail_line(self, capsys, lam):
         # sobolev-generating-function raises at these lambdas (bessel_j's
@@ -270,13 +292,14 @@ class TestValidateCommand:
 
 
 class TestEnvironment:
-    def test_out_dir_env_override(self, tmp_path, monkeypatch):
+    def test_only_out_dir_moves_output(self, tmp_path, monkeypatch):
+        # LAGSOB_OUT_DIR once overrode --out-dir; no environment variable does now.
         env_dir = tmp_path / "env_target"
         flag_dir = tmp_path / "flag_target"
         monkeypatch.setenv("LAGSOB_OUT_DIR", str(env_dir))
         assert main(["coeffs", "--nmax", "1", "--out-dir", str(flag_dir)]) == 0
-        assert (env_dir / "an_table.csv").exists()
-        assert not flag_dir.exists()
+        assert (flag_dir / "an_table.csv").exists()
+        assert not env_dir.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -289,8 +312,7 @@ class TestEnvironment:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         out_dir = blocker / "sub" if below else blocker
-        env = {k: v for k, v in os.environ.items() if k != "LAGSOB_OUT_DIR"}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "lagsob", *argv, "--out-dir", str(out_dir)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
@@ -298,6 +320,105 @@ class TestEnvironment:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot write ") and str(out_dir) in proc.stderr
+
+
+def _fmt(v):
+    return f"{v:.17g}"
+
+
+def reference_csv(header, rows):
+    """Bytes of the CLI's former row-by-row writer: one list of str cells per row."""
+    return (header + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode()
+
+
+class TestColumnWriter:
+    """Every CSV equals, byte for byte, the former row-by-row formatting of the same values."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "exp-decay", "--nmax", "12"],
+            ["--f-expr", "exp(-x)*sin(x)", "--lambda", "2", "--nmax", "7"],
+            ["--f-expr", "0", "--u-expr", "0", "--du-expr", "0", "--nmax", "3"],
+        ],
+        ids=["exact", "no-exact", "zero-error"],
+    )
+    def test_solve_files(self, tmp_path, argv):
+        assert main(["solve", *argv, "--count", "31", "--out-dir", str(tmp_path)]) == 0
+        args = dict(zip(argv[::2], argv[1::2]))
+        n_max = int(args["--nmax"])
+        if "--problem" in args:
+            problem = builtin_problem(args["--problem"])
+        else:
+            exact, exact_deriv = (
+                to_callable(parse_expression(args[flag])) if flag in args else None
+                for flag in ("--u-expr", "--du-expr")
+            )
+            problem = BVProblem(
+                lam=float(args.get("--lambda", 1.0)),
+                rhs=to_callable(parse_expression(args["--f-expr"])),
+                exact=exact,
+                exact_deriv=exact_deriv,
+            )
+        sol = solve(problem, n_max)
+
+        rows = []
+        for n in range(n_max + 1):
+            rows.append([str(n), _fmt(sol.basis.a[n]), _fmt(sol.g[n]), _fmt(sol.fhat[n]),
+                         _fmt(sol.basis.s[n]), _fmt(sol.uhat[n]),
+                         _fmt(sol.quad_report[n].achieved_tol)])
+        assert (tmp_path / "coeffs.csv").read_bytes() == reference_csv(
+            "n,a_n,g_n,f_n,s_n,uhat_n,quad_tol_achieved", rows)
+
+        grid = np.linspace(0.0, 20.0, 31)
+        approx = partial_sum(sol, n_max, grid)
+        if problem.exact is None:
+            header = f"x,approx_{n_max}"
+            rows = [[_fmt(x), _fmt(a)] for x, a in zip(grid, approx)]
+        else:
+            exact_vals = np.asarray(problem.exact(grid), dtype=float)
+            header = f"x,approx_{n_max},u_exact,abs_err"
+            rows = [[_fmt(x), _fmt(a), _fmt(u), _fmt(abs(a - u))]
+                    for x, a, u in zip(grid, approx, exact_vals)]
+        assert (tmp_path / "solution.csv").read_bytes() == reference_csv(header, rows)
+
+        if problem.exact is None:
+            assert not (tmp_path / "convergence.csv").exists()
+            return
+        eps = [sobolev_error(sol, n) for n in range(n_max + 1)]
+        rows = [[str(n), _fmt(e), _fmt(math.log10(e)) if e > 0.0 else "-inf"]
+                for n, e in enumerate(eps)]
+        assert (tmp_path / "convergence.csv").read_bytes() == reference_csv(
+            "n,eps_n,log10_eps_n", rows)
+
+    def test_an_table(self, tmp_path):
+        assert main(["coeffs", "--lambda", "3", "--nmax", "40", "--out-dir", str(tmp_path)]) == 0
+        a_rec, a_rat = connection_recurrence(3.0, 41), connection_ratio(3.0, 41)
+        rows = []
+        for n in range(41):
+            asym = connection_asymptotic(3.0, n) if n >= 1 else math.nan
+            rows.append([str(n), _fmt(a_rec[n]), _fmt(a_rat[n]),
+                         _fmt(abs(a_rec[n] - a_rat[n])), _fmt(asym)])
+        assert rows[0][4] == "nan"
+        assert (tmp_path / "an_table.csv").read_bytes() == reference_csv(
+            "n,a_rec,a_ratio,abs_diff,a_asymptotic", rows)
+
+    def test_basis_files(self, tmp_path):
+        assert main(["basis", "--lambda", "0.5", "--nmax", "6", "--count", "9",
+                     "--out-dir", str(tmp_path)]) == 0
+        basis = sobolev_basis(0.5, 6)
+        rows = []
+        for n in range(7):
+            c = sobolev_coeffs(basis, n).coef
+            rows.append([str(n)] + [_fmt(v) for v in c] + [""] * (6 - n))
+        assert (tmp_path / "basis_coeffs.csv").read_bytes() == reference_csv(
+            "n," + ",".join(f"c{k}" for k in range(7)), rows)
+
+        grid = np.linspace(0.0, 20.0, 9)
+        vals = sobolev_eval_all(basis, 6, grid)
+        rows = [[_fmt(x)] + [_fmt(vals[k, i]) for k in range(7)] for i, x in enumerate(grid)]
+        assert (tmp_path / "basis_samples.csv").read_bytes() == reference_csv(
+            "x," + ",".join(f"S{k}" for k in range(7)), rows)
 
 
 NO_SCIPY_SCRIPT = """

@@ -8,6 +8,7 @@ import pytest
 from lagsob import (
     BVProblem,
     LaguerreFamily,
+    builtin_problem,
     gauss_laguerre,
     integrate,
     integrate_adaptive,
@@ -161,6 +162,11 @@ class TestIntegrate:
         rule = gauss_laguerre(0.0, 4)
         with pytest.raises(ValueError, match="node"):
             integrate(rule, lambda x: np.where(x > 1.0, np.inf, 1.0))
+        # Plain floats, not numpy reprs: L_238^{(1)} overflows at the far node.
+        message = "integrand returned nan at node x=990.8148070068848"
+        with pytest.raises(ValueError) as exc:
+            solve(builtin_problem("exp-decay"), 238)
+        assert str(exc.value) == message
 
     def test_discrete_orthogonality_gram(self):
         # n_max+1 nodes resolve products of the first n_max+1 basis members

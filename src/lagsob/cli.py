@@ -245,6 +245,8 @@ def main(argv=None) -> int:
         _check_lam(args.lam)
         if getattr(args, "n_max", 0) < 0:
             return _config_error("--nmax must be >= 0")
+        if getattr(args, "count", 0) < 0:
+            return _config_error("--count must be >= 0")
         return args.run(args)
     except ValueError as exc:
         return _config_error(str(exc))

@@ -1,15 +1,15 @@
 """Generalized Gauss-Laguerre rules, the integrators and the rule-size policy.
 
-Rules are built Golub-Welsch style: nodes are the eigenvalues of the
-symmetric Jacobi matrix of the monic Laguerre recurrence (diagonal
-2k+alpha+1, off-diagonal sqrt(k(k+alpha))) and weights are Gamma(alpha+1)
-times squared first eigenvector components.
+The policy's rules (alpha 0 and 1 at its four sizes) ship in rules.npz.  Any
+other rule is built with numpy alone: eigenvalues of the Jacobi matrix
+(diagonal 2k+alpha+1, off-diagonal sqrt(k(k+alpha))) polished by one Newton
+step on L_m, and Christoffel weights summed in log space (Gautschi,
+Orthogonal Polynomials, 2004).
 
 Log-weights are kept alongside the plain weights: for large rules the
 trailing weights underflow double precision (w ~ e^{-x} at nodes near 1000),
-but log w = log Gamma(alpha+1) + 2 log|v_0| stays representable, which is
-what makes unweighted integrals over (0, inf) computable without overflowing
-the compensated integrand.
+but log w stays representable, which is what makes unweighted integrals over
+(0, inf) computable without overflowing the compensated integrand.
 """
 
 from __future__ import annotations
@@ -60,33 +60,45 @@ class QuadratureRule:
         return np.exp(self.log_weights + self.nodes - self.alpha * np.log(self.nodes))
 
 
-def _eigen_rule(alpha: float, m: int) -> QuadratureRule:
-    from scipy.linalg import eigh_tridiagonal
-    k = np.arange(m, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    try:
-        # The classic implicit-shift QL driver: the fast MRRR driver (stemr)
-        # returns exactly-zero first eigenvector components for some graded
-        # matrices in this family, which would zero out interior weights.
-        nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigensolver failure
-        raise RuntimeError(f"Jacobi eigenproblem failed for alpha={alpha}, m={m}: {exc}")
-    v0 = vecs[0]
-    lg = math.lgamma(alpha + 1.0)
-    weights = math.exp(lg) * v0**2
-    log_weights = lg + 2.0 * np.log(np.maximum(np.abs(v0), 1e-300))
-    if nodes[0] <= 0.0:
+def _laguerre_sweep(alpha: float, m: int, x: np.ndarray):
+    """L_m(x) and D_m(x) = L_m(x) - L_{m-1}(x), both times a power of two per point,
+    and log sum_{k<m} c_k L_k(x)^2 with c_k = k! Gamma(alpha+1) / Gamma(k+alpha+1).
+
+    The difference form (k+1) D_{k+1} = (k+alpha) D_k - x L_k cancels nothing near
+    x = 0, so the smallest nodes keep full relative accuracy.  Every eighth step
+    scales L and D so the larger lies in [1, 2), and the sum by the square: exact.
+    """
+    val, diff = np.ones_like(x), np.ones_like(x)  # L_0, and D_0 with L_{-1} = 0
+    total, shift = np.zeros_like(x), np.zeros(x.shape, dtype=int)
+    c = 1.0
+    for k in range(m):
+        total += c * val * val
+        diff = ((k + alpha) * diff - x * val) / (k + 1)
+        val = val + diff
+        c *= (k + 1) / (k + 1 + alpha)
+        if k % 8 == 7:
+            e = np.frexp(np.maximum(np.abs(val), np.abs(diff)))[1] - 1
+            val, diff, total = np.ldexp(val, -e), np.ldexp(diff, -e), np.ldexp(total, -2 * e)
+            shift += e
+    return val, diff, np.log(total) + (2.0 * math.log(2.0)) * shift
+
+
+def _christoffel_rule(alpha: float, m: int) -> QuadratureRule:
+    k = np.arange(1, m)
+    jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0)
+    jacobi[k, k - 1] = np.sqrt(k * (k + alpha))  # eigvalsh reads the lower triangle
+    nodes = np.linalg.eigvalsh(jacobi)
+    # One Newton step on L_m, with x L_m' = m L_m - (m+alpha) L_{m-1} = (m+alpha) D_m - alpha L_m.
+    val, diff, _ = _laguerre_sweep(alpha, m, nodes)
+    nodes -= nodes * val / ((m + alpha) * diff - alpha * val)
+    if not nodes[0] > 0.0:
         raise RuntimeError(f"nonpositive quadrature node for alpha={alpha}, m={m}")
+    # Christoffel numbers: 1/w = sum_{k<m} L_k^2 / ||L_k||^2, a sum that is exactly 1 at m = 1.
+    log_sum, lg = _laguerre_sweep(alpha, m, nodes)[2], math.lgamma(alpha + 1.0)
+    weights, log_weights = math.exp(lg) * np.exp(-log_sum), lg - log_sum
     for arr in (nodes, weights, log_weights):
         arr.setflags(write=False)
     return QuadratureRule(alpha=alpha, nodes=nodes, weights=weights, log_weights=log_weights)
-
-
-def _write_table(path=_TABLE) -> None:
-    """Write rules.npz: per policy size, the _eigen_rule arrays for alpha 0 and 1."""
-    rules = [_eigen_rule(a, M0 << k) for a in (0.0, 1.0) for k in range((M_MAX // M0).bit_length())]
-    np.savez(path, **{f"{r.alpha!r}_{r.size}": [r.nodes, r.weights, r.log_weights] for r in rules})
 
 
 @lru_cache(maxsize=1)
@@ -102,7 +114,7 @@ def _table() -> dict:
 def _build_rule(alpha: float, m: int) -> QuadratureRule:
     """Policy sizes for alpha 0 and 1 load from rules.npz (rows: nodes, weights, log-weights)."""
     rows = _table().get(f"{alpha!r}_{m}")
-    return _eigen_rule(alpha, m) if rows is None else QuadratureRule(alpha, *rows)
+    return _christoffel_rule(alpha, m) if rows is None else QuadratureRule(alpha, *rows)
 
 
 def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:

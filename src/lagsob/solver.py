@@ -113,15 +113,17 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
 
     g = np.empty(n_max + 1)
     report = []
-    for n in range(n_max + 1):
-        # Only rhs falls back to per-node calls; the table is built once per rule.
-        def h(x, n=n):
-            return _vectorised(counted_rhs, x) * laguerre_eval_all(_L1, n, x)[n]
+    # The integrator's finiteness check refuses, and names, a node where h overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max + 1):
+            # Only rhs falls back to per-node calls; the table is built once per rule.
+            def h(x, n=n):
+                return _vectorised(counted_rhs, x) * laguerre_eval_all(_L1, n, x)[n]
 
-        # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.
-        res = integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
-        g[n] = res.value
-        report.append(res)
+            # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.
+            res = integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
+            g[n] = res.value
+            report.append(res)
 
     fhat = np.empty(n_max + 1)
     fhat[0] = g[0]

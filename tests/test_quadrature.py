@@ -1,7 +1,14 @@
-"""Gauss-Laguerre rules: exactness, interlacing, and the adaptive integrators."""
+"""Gauss-Laguerre rules: exactness, interlacing, and the adaptive integrators.
+
+Also the oracles of the rules: LAPACK's stev, which wrote rules.npz, and
+40-digit mpmath for the numpy builder.  After a change to the policy,
+regenerate the table with
+PYTHONPATH=src:tests python -c "from test_quadrature import write_table; write_table()".
+"""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +25,63 @@ from lagsob import (
 )
 from lagsob import quadrature
 from lagsob.quadrature import M_MAX, TOL
+
+
+def stev_rule(alpha, m):
+    """Golub-Welsch nodes, weights and log-weights by LAPACK stev: the builder of rules.npz."""
+    from scipy.linalg import eigh_tridiagonal
+
+    k = np.arange(m, dtype=float)
+    # The classic implicit-shift QL driver: the fast MRRR driver (stemr)
+    # returns exactly-zero first eigenvector components for some graded
+    # matrices in this family, which would zero out interior weights.
+    nodes, vecs = eigh_tridiagonal(
+        2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), lapack_driver="stev"
+    )
+    v0 = vecs[0]
+    lg = math.lgamma(alpha + 1.0)
+    return nodes, math.exp(lg) * v0**2, lg + 2.0 * np.log(np.maximum(np.abs(v0), 1e-300))
+
+
+def policy_sizes():
+    """The rule sizes integrate_adaptive tries when no two values agree."""
+    asked = []
+    integrate_adaptive(lambda m: asked.append(m) or float(m))
+    return asked
+
+
+POLICY_PAIRS = [(alpha, m) for alpha in (0.0, 1.0) for m in policy_sizes()]
+
+
+def write_table(path=quadrature._TABLE):
+    """Write rules.npz: per policy pair, the stev_rule rows (nodes, weights, log-weights)."""
+    np.savez(path, **{f"{a!r}_{m}": stev_rule(a, m) for a, m in POLICY_PAIRS})
+
+
+def mp_node_and_log_weight(alpha, m, x):
+    """The zero of L_m^{(alpha)} next to x and its log-weight, to 40 digits.
+
+    Newton from x on the recurrence in mpmath; the weight comes from the
+    derivative form w = Gamma(m+alpha+1) / (m! x L_m'(x)^2), independent of
+    the Christoffel sum the builder forms.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+
+        def lag(t):  # L_{m-1}(t), L_m(t)
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(m):
+                lo, hi = hi, ((2 * k + 1 + a - t) * hi - (k + a) * lo) / (k + 1)
+            return lo, hi
+
+        t = mpmath.mpf(float(x))
+        for _ in range(4):
+            lo, hi = lag(t)
+            t -= t * hi / (m * hi - (m + a) * lo)
+        lo, hi = lag(t)
+        deriv = (m * hi - (m + a) * lo) / t
+        log_w = mpmath.loggamma(m + a + 1) - mpmath.loggamma(m + 1) - mpmath.log(t) - 2 * mpmath.log(abs(deriv))
+        return float(t), float(log_w)
 
 
 def adaptive_halfweight(h):
@@ -98,45 +162,51 @@ class TestRuleConstruction:
             a.nodes[0] = 0.0
 
 
-def policy_sizes():
-    """The rule sizes integrate_adaptive tries when no two values agree."""
-    asked = []
-    integrate_adaptive(lambda m: asked.append(m) or float(m))
-    return asked
-
-
 class TestShippedRules:
-    """rules.npz holds exactly the policy's rules, bit-identical to the eigensolver builder."""
-
-    PAIRS = [(alpha, m) for alpha in (0.0, 1.0) for m in policy_sizes()]
+    """rules.npz holds exactly the policy's rules, bit-identical to the stev oracle."""
 
     def test_table_holds_exactly_the_policy_pairs(self):
-        assert sorted(quadrature._table()) == sorted(f"{a!r}_{m}" for a, m in self.PAIRS)
+        assert sorted(quadrature._table()) == sorted(f"{a!r}_{m}" for a, m in POLICY_PAIRS)
 
-    @pytest.mark.parametrize("alpha, m", PAIRS)
+    @pytest.mark.parametrize("alpha, m", POLICY_PAIRS)
     def test_entries_match_the_eigensolver_and_are_read_only(self, alpha, m):
         rule = gauss_laguerre(alpha, m)
         assert np.shares_memory(rule.nodes, quadrature._table()[f"{alpha!r}_{m}"])
-        built = quadrature._eigen_rule(alpha, m)
-        for name in ("nodes", "weights", "log_weights"):
-            assert np.array_equal(getattr(rule, name), getattr(built, name))
+        for name, oracle in zip(("nodes", "weights", "log_weights"), stev_rule(alpha, m)):
+            assert np.array_equal(getattr(rule, name), oracle)
             assert not getattr(rule, name).flags.writeable
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
     def test_other_pairs_go_to_the_eigensolver(self, monkeypatch):
-        eigen_rule, built = quadrature._eigen_rule, []
+        christoffel_rule, built = quadrature._christoffel_rule, []
 
         def recording(alpha, m):
             built.append((alpha, m))
-            return eigen_rule(alpha, m)
+            return christoffel_rule(alpha, m)
 
-        monkeypatch.setattr(quadrature, "_eigen_rule", recording)
+        monkeypatch.setattr(quadrature, "_christoffel_rule", recording)
         build = quadrature._build_rule.__wrapped__  # past the cache
-        for alpha, m in ((2.0, 40), (0.5, 7), (1.0, 64)):
+        for alpha, m in ((2.0, 40), (0.5, 7)):
             rule = build(alpha, m)
-            assert rule.size == m and np.array_equal(rule.nodes, eigen_rule(alpha, m).nodes)
+            assert rule.size == m and np.array_equal(rule.nodes, christoffel_rule(alpha, m).nodes)
+        assert np.shares_memory(build(1.0, 64).nodes, quadrature._table()["1.0_64"])
         assert built == [(2.0, 40), (0.5, 7)]
+
+
+class TestBuilderOracle:
+    """The numpy builder against 40-digit mpmath, far nodes included."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [7, 40, 256, 1024])
+    def test_nodes_and_log_weights(self, alpha, m):
+        # The builder itself: gauss_laguerre serves (0, 256) and (1, 256) from
+        # rules.npz, and stops at M_MAX.
+        rule = quadrature._christoffel_rule(alpha, m)
+        for i in sorted({0, 1, m // 3, m // 2, m - 2, m - 1}):
+            node, log_w = mp_node_and_log_weight(alpha, m, rule.nodes[i])
+            assert rule.nodes[i] == pytest.approx(node, rel=1e-13, abs=0.0)
+            assert rule.log_weights[i] == pytest.approx(log_w, rel=1e-12, abs=0.0)
 
 
 class TestIntegrate:

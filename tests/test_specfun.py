@@ -31,6 +31,19 @@ class TestBesselJ:
                 ref = float(mpmath.besselj(alpha, mpmath.mpf(float(z))))
                 assert bessel_j(alpha, float(z)) == pytest.approx(ref, abs=1e-12)
 
+    def test_other_orders_and_ends_against_mpmath(self):
+        # Orders just off an integer, the leading-term branch below z = 1e-9
+        # (where 2 nu / z would overflow the recurrence), and a large order.
+        cases = [(0.001, 7.3), (0.999, 41.0), (7.25, 60.0), (0.3, 1e-310), (2.5, 5e-10), (300.0, 60.0)]
+        with mpmath.workdps(40):
+            for alpha, z in cases:
+                ref = float(mpmath.besselj(alpha, mpmath.mpf(z)))
+                assert bessel_j(alpha, z) == pytest.approx(ref, rel=1e-13)
+        # From order 440 on, J underflows to zero on the whole range.
+        assert bessel_j(440.0, 60.0) == 0.0 == float(mpmath.besselj(440, 60))
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j(float("inf"), 1.0)
+
     def test_derivative_identity(self):
         # J0' = -J1, J0' from central differences
         for z in (0.5, 1.0, 2.0, 5.0, 10.0):

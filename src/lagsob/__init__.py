@@ -13,8 +13,7 @@ Quick start:
     0.198777
 """
 
-from . import expressions, laguerre, quadrature, sobolev, solver, specfun
-from .expressions import *  # noqa: F403
+from . import laguerre, quadrature, sobolev, solver, specfun
 from .laguerre import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 from .sobolev import *  # noqa: F403
@@ -23,6 +22,14 @@ from .specfun import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is the one list of its public names.
-__all__ = [name for mod in (expressions, laguerre, quadrature, sobolev, solver, specfun)
-           for name in mod.__all__]
+# lagsob.expressions loads on first use of one of these names; the solver never needs it.
+_EXPRESSION_NAMES = ["ExpressionError", "Expr", "parse_expression", "format_expr", "to_callable"]
+__all__ = _EXPRESSION_NAMES + [name for mod in (laguerre, quadrature, sobolev, solver, specfun)
+                               for name in mod.__all__]
+
+
+def __getattr__(name):  # never cached here, so a rebinding in lagsob.expressions shows
+    if name not in _EXPRESSION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import expressions
+    return getattr(expressions, name)

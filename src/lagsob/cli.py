@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import ExpressionError, parse_expression, to_callable
 from .sobolev import (
     _check_lam,
     connection_asymptotic,
@@ -36,7 +35,6 @@ from .solver import (
     sobolev_error,
     solve,
 )
-from .validation import run_suites
 
 __all__ = ["main", "run_solve", "run_coeffs", "run_basis", "run_validate"]
 
@@ -67,6 +65,7 @@ def _config_error(message: str) -> int:
 
 
 def _expression(flag: str, text: str):
+    from .expressions import ExpressionError, parse_expression, to_callable
     try:
         return to_callable(parse_expression(text))
     except ExpressionError as exc:
@@ -187,6 +186,7 @@ def run_basis(args) -> int:
 
 
 def run_validate(args) -> int:
+    from .validation import run_suites
     results = run_suites(args.lam)
     width = max(len(name) for name, _, _ in results)
     failed = []
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
             return _config_error("--nmax must be >= 0")
         if getattr(args, "count", 0) < 0:
             return _config_error("--count must be >= 0")
+        for flag, dest in (("--x-min", "x_min"), ("--x-max", "x_max")):
+            if not math.isfinite(value := getattr(args, dest, 0.0)):
+                return _config_error(f"{flag} must be finite, got {value!r}")
         return args.run(args)
     except ValueError as exc:
         return _config_error(str(exc))

@@ -4,7 +4,7 @@ The policy's rules (alpha 0 and 1 at its four sizes) ship in rules.npz.  Any
 other rule is built with numpy alone: eigenvalues of the Jacobi matrix
 (diagonal 2k+alpha+1, off-diagonal sqrt(k(k+alpha))) polished by one Newton
 step on L_m, and Christoffel weights summed in log space (Gautschi,
-Orthogonal Polynomials, 2004).
+Orthogonal Polynomials, 2004); many sizes of one alpha share both sweeps.
 
 Log-weights are kept alongside the plain weights: for large rules the
 trailing weights underflow double precision (w ~ e^{-x} at nodes near 1000),
@@ -60,9 +60,10 @@ class QuadratureRule:
         return np.exp(self.log_weights + self.nodes - self.alpha * np.log(self.nodes))
 
 
-def _laguerre_sweep(alpha: float, m: int, x: np.ndarray):
+def _laguerre_sweep(alpha: float, m: np.ndarray, x: np.ndarray, christoffel: bool = True):
     """L_m(x) and D_m(x) = L_m(x) - L_{m-1}(x), both times a power of two per point,
-    and log sum_{k<m} c_k L_k(x)^2 with c_k = k! Gamma(alpha+1) / Gamma(k+alpha+1).
+    and if asked log sum_{k<m} c_k L_k(x)^2 with c_k = k! Gamma(alpha+1) / Gamma(k+alpha+1),
+    for a degree m per point, non-increasing: the points running at step k are a prefix.
 
     The difference form (k+1) D_{k+1} = (k+alpha) D_k - x L_k cancels nothing near
     x = 0, so the smallest nodes keep full relative accuracy.  Every eighth step
@@ -71,34 +72,42 @@ def _laguerre_sweep(alpha: float, m: int, x: np.ndarray):
     val, diff = np.ones_like(x), np.ones_like(x)  # L_0, and D_0 with L_{-1} = 0
     total, shift = np.zeros_like(x), np.zeros(x.shape, dtype=int)
     c = 1.0
-    for k in range(m):
-        total += c * val * val
-        diff = ((k + alpha) * diff - x * val) / (k + 1)
-        val = val + diff
+    for k, n in enumerate(np.searchsorted(-m, -np.arange(m[0]))):
+        v, d, t = val[:n], diff[:n], total[:n]
+        if christoffel:
+            t += c * v * v
+        d[:] = ((k + alpha) * d - x[:n] * v) / (k + 1)
+        v += d
         c *= (k + 1) / (k + 1 + alpha)
         if k % 8 == 7:
-            e = np.frexp(np.maximum(np.abs(val), np.abs(diff)))[1] - 1
-            val, diff, total = np.ldexp(val, -e), np.ldexp(diff, -e), np.ldexp(total, -2 * e)
-            shift += e
-    return val, diff, np.log(total) + (2.0 * math.log(2.0)) * shift
+            e = np.frexp(np.maximum(np.abs(v), np.abs(d)))[1] - 1
+            v[:], d[:], t[:] = np.ldexp(v, -e), np.ldexp(d, -e), np.ldexp(t, -2 * e)
+            shift[:n] += e
+    return val, diff, np.log(total) + (2.0 * math.log(2.0)) * shift if christoffel else None
 
 
-def _christoffel_rule(alpha: float, m: int) -> QuadratureRule:
-    k = np.arange(1, m)
-    jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0)
-    jacobi[k, k - 1] = np.sqrt(k * (k + alpha))  # eigvalsh reads the lower triangle
-    nodes = np.linalg.eigvalsh(jacobi)
+def _christoffel_rules(alpha: float, sizes: list[int]) -> list[QuadratureRule]:
+    """Rules of the distinct sizes (largest first): one eigvalsh each, then one
+    Newton sweep and one Christoffel sweep over all their nodes together."""
+    nodes = []
+    for size in sizes:
+        k = np.arange(1, size)
+        jacobi = np.diag(2.0 * np.arange(size) + alpha + 1.0)
+        jacobi[k, k - 1] = np.sqrt(k * (k + alpha))  # eigvalsh reads the lower triangle
+        nodes.append(np.linalg.eigvalsh(jacobi))
+    nodes, m = np.concatenate(nodes), np.repeat(sizes, sizes)
     # One Newton step on L_m, with x L_m' = m L_m - (m+alpha) L_{m-1} = (m+alpha) D_m - alpha L_m.
-    val, diff, _ = _laguerre_sweep(alpha, m, nodes)
+    val, diff, _ = _laguerre_sweep(alpha, m, nodes, christoffel=False)
     nodes -= nodes * val / ((m + alpha) * diff - alpha * val)
-    if not nodes[0] > 0.0:
-        raise RuntimeError(f"nonpositive quadrature node for alpha={alpha}, m={m}")
+    if not np.all(nodes > 0.0):
+        raise RuntimeError(f"nonpositive quadrature node for alpha={alpha}, m={m[np.argmin(nodes)]}")
     # Christoffel numbers: 1/w = sum_{k<m} L_k^2 / ||L_k||^2, a sum that is exactly 1 at m = 1.
     log_sum, lg = _laguerre_sweep(alpha, m, nodes)[2], math.lgamma(alpha + 1.0)
     weights, log_weights = math.exp(lg) * np.exp(-log_sum), lg - log_sum
     for arr in (nodes, weights, log_weights):
         arr.setflags(write=False)
-    return QuadratureRule(alpha=alpha, nodes=nodes, weights=weights, log_weights=log_weights)
+    rows = (np.split(arr, np.cumsum(sizes)[:-1]) for arr in (nodes, weights, log_weights))
+    return [QuadratureRule(alpha, *rule) for rule in zip(*rows)]
 
 
 @lru_cache(maxsize=1)
@@ -110,11 +119,18 @@ def _table() -> dict:
     return table
 
 
+def _rules(alpha: float, sizes) -> list[QuadratureRule]:
+    """The m-point rule for each m of sizes, in order: the policy's sizes for alpha 0
+    and 1 from rules.npz (rows: nodes, weights, log-weights), the rest built together."""
+    table, key = _table(), lambda m: f"{alpha!r}_{m}"
+    todo = sorted({m for m in sizes if key(m) not in table}, reverse=True)
+    built = dict(zip(todo, _christoffel_rules(alpha, todo))) if todo else {}
+    return [built[m] if m in built else QuadratureRule(alpha, *table[key(m)]) for m in sizes]
+
+
 @lru_cache(maxsize=128)
 def _build_rule(alpha: float, m: int) -> QuadratureRule:
-    """Policy sizes for alpha 0 and 1 load from rules.npz (rows: nodes, weights, log-weights)."""
-    rows = _table().get(f"{alpha!r}_{m}")
-    return _christoffel_rule(alpha, m) if rows is None else QuadratureRule(alpha, *rows)
+    return _rules(alpha, [m])[0]
 
 
 def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:

@@ -48,12 +48,17 @@ def _check_lam(lam: float) -> float:
     return float(lam)
 
 
-def _checked_connection(a) -> np.ndarray:
-    """a_0..a_{N-1} as a read-only copy; N >= 1 and every a_n lies in (0, 1)."""
+def _checked_connection(a, lam: float | None = None) -> np.ndarray:
+    """a_0..a_{N-1} as a read-only copy; N >= 1 and every a_n lies in (0, 1).  Given the
+    lam of a computed sequence, finite a_n >= 1 are rounding: 1 - a_n is O(lam)."""
     arr = np.array(a, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("connection sequence must hold at least a_0")
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    inside = (arr > 0.0) & (arr < 1.0)
+    if not inside.all():
+        if lam is not None and np.all(inside | (arr >= 1.0) & np.isfinite(arr)):
+            n = int(np.argmin(inside))
+            raise ValueError(f"lambda={lam!r} is too small for n_max={arr.size - 1}: a_{n} rounds to 1")
         raise RuntimeError("connection coefficients left (0, 1); recurrence is broken")
     arr.setflags(write=False)
     return arr
@@ -70,7 +75,7 @@ def connection_recurrence(lam: float, n_max: int) -> np.ndarray:
         if denom <= 0.0:
             raise RuntimeError(f"nonpositive denominator at n={n}; lam={lam} invalid?")
         a[n] = (n + 2) / denom
-    return _checked_connection(a)
+    return _checked_connection(a, lam)
 
 
 def connection_ratio(lam: float, n_max: int) -> np.ndarray:
@@ -93,7 +98,7 @@ def connection_ratio(lam: float, n_max: int) -> np.ndarray:
         m, e = math.frexp(hi)
         lo, hi = math.ldexp(lo, -e), m
         a[n] = (n + 2.0) / (n + 1.0) * lo / hi
-    return _checked_connection(a)
+    return _checked_connection(a, lam)
 
 
 def connection_asymptotic(lam: float, n: int) -> float:

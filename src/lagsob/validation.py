@@ -20,7 +20,7 @@ from .laguerre import (
     laguerre_eval_all,
     laguerre_norm_sq,
 )
-from .quadrature import gauss_laguerre
+from .quadrature import _rules, gauss_laguerre
 from .sobolev import (
     alternating_sum_check,
     connection_ratio,
@@ -81,16 +81,13 @@ def _suite_derivative(lam):
 def _suite_quadrature(lam):
     worst = 0.0
     for alpha in (0.0, 1.0, 2.0):
-        prev_nodes = None
-        for m in range(1, 41):
-            rule = gauss_laguerre(alpha, m)
+        rules = _rules(alpha, range(1, 41))
+        for m, rule in enumerate(rules, start=1):
             if not (np.all(rule.weights > 0.0) and np.all(np.diff(rule.nodes) > 0.0)):
                 return False, f"invalid rule alpha={alpha}, m={m}"
-            if prev_nodes is not None:
-                inter = np.searchsorted(rule.nodes, prev_nodes)
-                if not np.array_equal(inter, np.arange(1, m)):
-                    return False, f"interlacing failed alpha={alpha}, m={m}"
-            prev_nodes = rule.nodes
+            inter = np.searchsorted(rule.nodes, rules[m - 2].nodes) if m > 1 else []
+            if not np.array_equal(inter, np.arange(1, m)):
+                return False, f"interlacing failed alpha={alpha}, m={m}"
             ks = sorted(set(range(0, 2 * m, max(1, (2 * m) // 6))) | {2 * m - 1})
             for k in ks:
                 exact = math.exp(math.lgamma(k + alpha + 1.0))

@@ -482,3 +482,62 @@ def test_invalid_lambda_is_a_config_error(tmp_path, capsys, argv, lam):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
+@pytest.mark.parametrize(
+    "argv", [["solve", "--problem", "exp-decay", "--nmax", "5"], ["basis"]], ids=["solve", "basis"]
+)
+def test_nonfinite_grid_end_is_a_config_error(tmp_path, capsys, argv, flag, value):
+    # Refused in main beside --count, before coeffs.csv or basis_coeffs.csv is written.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [f"{flag}={value}", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv", [["coeffs"], ["basis"], ["solve", "--f-expr", "exp(-x)"]], ids=["coeffs", "basis", "solve"]
+)
+def test_lambda_too_small_is_one_error_line(tmp_path, capsys, argv):
+    # Every a_n rounds to 1 at lambda = 1e-17: a configuration error, no traceback.
+    assert main(argv + ["--lambda", "1e-17", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: lambda=1e-17 is too small for n_max=20: a_0 rounds to 1\n"
+    assert not any(tmp_path.iterdir())
+
+
+LAZY_SCRIPT = """
+import sys
+import lagsob.cli
+
+def loaded():
+    return sorted(m for m in ("lagsob.expressions", "lagsob.validation") if m in sys.modules)
+
+assert lagsob.cli.main(["coeffs", "--nmax", "20"]) == 0
+assert lagsob.cli.main(["solve", "--problem", "exp-decay", "--nmax", "5"]) == 0
+assert loaded() == [], loaded()
+assert lagsob.cli.main(["validate"]) == 0
+assert loaded() == ["lagsob.validation"], loaded()
+
+import lagsob
+assert lagsob.to_callable is lagsob.expressions.to_callable
+assert "to_callable" not in vars(lagsob)  # looked up on each access, so a rebinding shows
+lagsob.expressions.to_callable = len
+assert lagsob.to_callable is len
+"""
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    # A fresh process, so no other test has loaded either module first.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

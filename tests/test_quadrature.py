@@ -179,19 +179,77 @@ class TestShippedRules:
             rule.weights[0] = 0.0
 
     def test_other_pairs_go_to_the_eigensolver(self, monkeypatch):
-        christoffel_rule, built = quadrature._christoffel_rule, []
+        christoffel_rules, built = quadrature._christoffel_rules, []
 
-        def recording(alpha, m):
-            built.append((alpha, m))
-            return christoffel_rule(alpha, m)
+        def recording(alpha, sizes):
+            built.append((alpha, sizes))
+            return christoffel_rules(alpha, sizes)
 
-        monkeypatch.setattr(quadrature, "_christoffel_rule", recording)
+        monkeypatch.setattr(quadrature, "_christoffel_rules", recording)
         build = quadrature._build_rule.__wrapped__  # past the cache
         for alpha, m in ((2.0, 40), (0.5, 7)):
             rule = build(alpha, m)
-            assert rule.size == m and np.array_equal(rule.nodes, christoffel_rule(alpha, m).nodes)
+            assert rule.size == m and np.array_equal(rule.nodes, christoffel_rules(alpha, [m])[0].nodes)
         assert np.shares_memory(build(1.0, 64).nodes, quadrature._table()["1.0_64"])
-        assert built == [(2.0, 40), (0.5, 7)]
+        assert built == [(2.0, [40]), (0.5, [7])]
+
+
+class TestBatchedRules:
+    """_rules builds many sizes of one alpha in one pass, bit for bit as one at a time."""
+
+    @staticmethod
+    def same(a, b):
+        return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("nodes", "weights", "log_weights"))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_batch_is_single_builds_and_gauss_laguerre(self, alpha):
+        for m, rule in enumerate(quadrature._rules(alpha, range(1, 41)), start=1):
+            assert rule.size == m
+            assert self.same(rule, quadrature._rules(alpha, [m])[0])
+            assert self.same(rule, gauss_laguerre(alpha, m))
+
+    @pytest.mark.parametrize("alpha, m", [(2.0, 256), (0.5, 1024)])
+    def test_large_rule_alone_and_in_a_batch(self, alpha, m):
+        alone = quadrature._rules(alpha, [m])[0]
+        assert self.same(alone, quadrature._rules(alpha, [3, m, 40])[1])
+        if m <= M_MAX:
+            assert self.same(alone, gauss_laguerre(alpha, m))
+
+    def test_unsorted_and_repeated_sizes(self):
+        rules = quadrature._rules(1.0, [5, 32, 5, 3, 40, 32])
+        assert [r.size for r in rules] == [5, 32, 5, 3, 40, 32]
+        assert rules[0] is rules[2]
+        assert np.shares_memory(rules[1].nodes, quadrature._table()["1.0_32"])
+        for rule in rules:
+            assert self.same(rule, gauss_laguerre(1.0, rule.size))
+            assert not rule.log_weights.flags.writeable
+
+    def test_validate_suite_builds_in_six_sweeps_and_checks_the_table(self, monkeypatch):
+        from lagsob import validation
+
+        sweep, sweeps = quadrature._laguerre_sweep, []
+        served = {}
+
+        def counting(*args, **kwargs):
+            sweeps.append(args[1].size)
+            return sweep(*args, **kwargs)
+
+        def recording(alpha, sizes):
+            served[alpha] = quadrature._rules(alpha, sizes)
+            return served[alpha]
+
+        monkeypatch.setattr(quadrature, "_laguerre_sweep", counting)
+        monkeypatch.setattr(validation, "_rules", recording)
+        ok, detail = validation._suite_quadrature(1.0)
+        assert ok, detail
+        # Two sweeps per alpha (0, 1, 2), each over all the nodes it builds: the
+        # 40 sizes less the table's m = 32 for alpha 0 and 1.  One rule at a time
+        # took two sweeps for each of the 118 rules not in rules.npz.
+        assert sweeps == [788, 788, 788, 788, 820, 820]
+        assert sorted(served) == [0.0, 1.0, 2.0]
+        assert [r.size for r in served[2.0]] == list(range(1, 41))
+        for alpha in (0.0, 1.0):
+            assert np.shares_memory(served[alpha][31].nodes, quadrature._table()[f"{alpha!r}_32"])
 
 
 class TestBuilderOracle:
@@ -202,7 +260,7 @@ class TestBuilderOracle:
     def test_nodes_and_log_weights(self, alpha, m):
         # The builder itself: gauss_laguerre serves (0, 256) and (1, 256) from
         # rules.npz, and stops at M_MAX.
-        rule = quadrature._christoffel_rule(alpha, m)
+        rule = quadrature._christoffel_rules(alpha, [m])[0]
         for i in sorted({0, 1, m // 3, m // 2, m - 2, m - 1}):
             node, log_w = mp_node_and_log_weight(alpha, m, rule.nodes[i])
             assert rule.nodes[i] == pytest.approx(node, rel=1e-13, abs=0.0)

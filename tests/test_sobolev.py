@@ -126,6 +126,20 @@ class TestConnectionSequence:
         with pytest.raises(RuntimeError, match=r"left \(0, 1\)"):
             connection_ratio(1e308, 3)
 
+    @pytest.mark.parametrize("lam, n_max", [(1e-17, 20), (1e-15, 1000)])
+    def test_lambda_too_small_for_double_precision(self, lam, n_max):
+        # 1 - a_n is O(lam): here some a_n rounds to 1, which is the caller's
+        # ValueError naming lam and n_max, not a broken recurrence.
+        message = rf"lambda={lam!r} is too small for n_max={n_max}: a_\d+ rounds to 1"
+        with pytest.raises(ValueError, match=message):
+            sobolev_basis(lam, n_max)
+        with pytest.raises(ValueError, match=message):
+            connection_ratio(lam, n_max + 1)
+
+    def test_smallest_lambdas_that_fit_double_precision(self):
+        assert sobolev_basis(1e-14, 1000).n_max == 1000
+        assert sobolev_basis(2.3e-16, 20).n_max == 20
+
     def test_results_are_read_only(self):
         basis = sobolev_basis(1.0, 5)
         for arr in (connection_recurrence(1.0, 5), connection_ratio(1.0, 5), basis.a, basis.s):

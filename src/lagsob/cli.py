@@ -195,7 +195,7 @@ def run_validate(args) -> int:
         if not ok:
             failed.append(name)
     if failed:
-        print(f"validation failed: {failed[0]}", file=sys.stderr)
+        print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"all {len(results)} suites passed (lam={args.lam:g})")
     return EXIT_OK

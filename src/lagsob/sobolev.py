@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laguerre import LaguerreFamily, _check_order, laguerre_coeffs, laguerre_eval_all
-from .quadrature import gauss_laguerre, integrate
 from .specfun import bessel_j
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "sobolev_basis",
     "sobolev_eval_all",
     "sobolev_coeffs",
-    "sobolev_inner_poly",
     "alternating_sum_check",
     "gen_fun_sobolev",
     "hardy_hille_check",
@@ -81,23 +79,24 @@ def connection_recurrence(lam: float, n_max: int) -> np.ndarray:
 def connection_ratio(lam: float, n_max: int) -> np.ndarray:
     """Closed form a_n = (n+2)/(n+1) * L_n^{(1)}(-4 lam) / L_{n+1}^{(1)}(-4 lam), n < n_max.
 
-    One forward sweep of the alpha=1 recurrence at -4 lam gives the whole
-    sequence; at negative arguments every term is positive, so the sweep is
-    well conditioned.  The arithmetic is that of laguerre_eval_all, except
-    that every step scales both carried values by the power of two that puts
-    L_{n+1} in [1/2, 1): exact, so every ratio is unchanged and none overflows.
+    One forward sweep at -4 lam gives the whole sequence.  It carries
+    P_k = L_k^{(1)}(-4 lam)/(k+1) and E_k = P_k - P_{k-1}, with P_0 = 1, E_0 = 0
+    and (k+2) E_{k+1} = k E_k + 4 lam P_k: both terms are positive, so nothing
+    cancels, and a_n = P_n/P_{n+1} keeps 1 - a_n ~ 2 lam even where P_n ~ 1.
+    Every step scales both carried values by the power of two that puts
+    P_{k+1} in [1/2, 1): exact, so every ratio is unchanged and none overflows.
     """
     lam = _check_lam(lam)
     n_max = _check_order("n_max", n_max, 1)
-    x = -4.0 * lam
+    four_lam = 4.0 * lam
     a = np.empty(n_max)
-    lo, hi = 1.0, 2.0 - x  # L_0 and L_1 at x
+    p, e = 1.0, 0.0
     for n in range(n_max):
-        if n:
-            lo, hi = hi, ((2 * n + 2.0 - x) * hi - (n + 1.0) * lo) / (n + 1)
-        m, e = math.frexp(hi)
-        lo, hi = math.ldexp(lo, -e), m
-        a[n] = (n + 2.0) / (n + 1.0) * lo / hi
+        e = (n * e + four_lam * p) / (n + 2)
+        nxt = p + e
+        a[n] = p / nxt
+        p, shift = math.frexp(nxt)
+        e = math.ldexp(e, -shift)
     return _checked_connection(a, lam)
 
 
@@ -150,23 +149,25 @@ def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
     return SobolevBasis(lam=lam, a=a, s=_norm_recurrence(lam, a, n_max))
 
 
-def sobolev_eval_all(basis: SobolevBasis, n: int, x):
-    """S_0(x)..S_n(x) by the forward connection recursion, one Laguerre pass.
-
-    The recursion S_k = L_k^{(1)} - a_{k-1} S_{k-1} runs in place on the
-    Laguerre table with one reused row buffer, so only one (n+1) x len(x)
-    array is formed.
-    """
-    n = _check_order("n", n, hi=basis.n_max)
-    out = laguerre_eval_all(_L1, n, x)
-    rows = iter(out.reshape(n + 1, -1))
+def _connect(a, table: np.ndarray) -> np.ndarray:
+    """S_k = T_k - a_{k-1} S_{k-1} down the rows of table T, in place with one reused
+    row buffer: the values S_k from the L_k^{(1)} table, the derivatives S_k' from
+    the rows [0, -L_0^{(2)}, ..., -L_{n-1}^{(2)}], since L_k^{(1)}' = -L_{k-1}^{(2)}."""
+    rows = iter(table.reshape(table.shape[0], -1))
     prev = next(rows)
     tmp = np.empty_like(prev)
-    for a, r in zip(basis.a, rows):
-        np.multiply(a, prev, out=tmp)
+    for ak, r in zip(a, rows):
+        np.multiply(ak, prev, out=tmp)
         r -= tmp
         prev = r
-    return out
+    return table
+
+
+def sobolev_eval_all(basis: SobolevBasis, n: int, x):
+    """S_0(x)..S_n(x) by the forward connection recursion on one Laguerre table,
+    so only one (n+1) x len(x) array is formed."""
+    n = _check_order("n", n, hi=basis.n_max)
+    return _connect(basis.a, laguerre_eval_all(_L1, n, x))
 
 
 def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:
@@ -178,22 +179,6 @@ def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:
         new[: coeffs.size] -= basis.a[k - 1] * coeffs
         coeffs = new
     return np.polynomial.Polynomial(coeffs)
-
-
-def sobolev_inner_poly(basis: SobolevBasis, p, q, m: int) -> float:
-    """<p, q>_S of numpy Polynomials by exact-degree alpha=1 and alpha=2 rules of size m."""
-    if p.degree() + q.degree() + 2 > 2 * m - 1:
-        raise ValueError(
-            f"rule size m={m} too small for degrees {p.degree()} and {q.degree()}; "
-            f"need deg p + deg q + 2 <= 2m - 1"
-        )
-    lam = basis.lam
-    dp, dq = p.deriv(), q.deriv()
-    rule1 = gauss_laguerre(1.0, m)
-    rule2 = gauss_laguerre(2.0, m)
-    first = integrate(rule1, lambda x: p(x) * q(x) * (1.0 + lam - 0.25 * x))
-    second = integrate(rule2, lambda x: dp(x) * dq(x))
-    return first + second
 
 
 def alternating_sum_check(basis: SobolevBasis, n: int, x: float) -> float:
@@ -260,6 +245,7 @@ def hardy_hille_check(alpha: float, x: float, y: float, omega: float, n_trunc: i
         raise ValueError(f"omega must lie in (-1, 0), got {omega!r}")
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be > 0")
+    n_trunc = _check_order("n_trunc", n_trunc)
     fam = LaguerreFamily(alpha)
     lx = laguerre_eval_all(fam, n_trunc, x)
     ly = laguerre_eval_all(fam, n_trunc, y)

@@ -22,14 +22,14 @@ from .laguerre import (
 )
 from .quadrature import _rules, gauss_laguerre
 from .sobolev import (
+    _connect,
     alternating_sum_check,
     connection_ratio,
     connection_recurrence,
     gen_fun_sobolev,
     hardy_hille_check,
     sobolev_basis,
-    sobolev_coeffs,
-    sobolev_inner_poly,
+    sobolev_eval_all,
 )
 
 __all__ = ["run_suites", "SUITE_NAMES"]
@@ -96,18 +96,19 @@ def _suite_quadrature(lam):
     return worst <= 1e-9, f"max moment error {worst:.2e} (tol 1e-9)"
 
 
+def _gram_errors(gram, norms):
+    """(max relative error of the diagonal against norms, max |off-diagonal|) of a Gram matrix."""
+    diag = np.diag(gram)
+    return float(np.max(np.abs(diag - norms) / norms)), float(np.max(np.abs(gram - np.diag(diag))))
+
+
 def _suite_gram_laguerre(lam):
     n_max = 25
     fam = LaguerreFamily(1.0)
     rule = gauss_laguerre(1.0, n_max + 1)
     vals = laguerre_eval_all(fam, n_max, rule.nodes)
-    gram = (vals * rule.weights) @ vals.T
-    diag_err = np.max([
-        abs(gram[n, n] - laguerre_norm_sq(fam, n)) / laguerre_norm_sq(fam, n)
-        for n in range(n_max + 1)
-    ])
-    off = gram - np.diag(np.diag(gram))
-    off_max = float(np.max(np.abs(off)))
+    norms = [laguerre_norm_sq(fam, n) for n in range(n_max + 1)]
+    diag_err, off_max = _gram_errors((vals * rule.weights) @ vals.T, norms)
     ok = diag_err <= 1e-9 and off_max <= 1e-9
     return ok, f"diag rel err {diag_err:.2e}, max off-diagonal {off_max:.2e} (tol 1e-9)"
 
@@ -125,21 +126,22 @@ def _suite_connection(lam):
     return worst <= 1e-12, f"max recurrence/ratio mismatch {worst:.2e} (tol 1e-12)"
 
 
+def _sobolev_gram(basis, m: int) -> np.ndarray:
+    """Gram matrix <S_i, S_j>_S for i, j <= n = basis.n_max >= 1, from tables on the m-point
+    alpha=1 rule (values) and alpha=2 rule (derivatives); every entry is exact while n < m."""
+    n = basis.n_max
+    rule1, rule2 = gauss_laguerre(1.0, m), gauss_laguerre(2.0, m)
+    vals = sobolev_eval_all(basis, n, rule1.nodes)
+    derivs = np.zeros((n + 1, m))
+    derivs[1:] = -laguerre_eval_all(LaguerreFamily(2.0), n - 1, rule2.nodes)
+    _connect(basis.a, derivs)
+    first = (vals * (rule1.weights * (1.0 + basis.lam - 0.25 * rule1.nodes))) @ vals.T
+    return first + (derivs * rule2.weights) @ derivs.T
+
+
 def _suite_sobolev_gram(lam):
-    n_max = 10
-    basis = sobolev_basis(lam, n_max)
-    polys = [sobolev_coeffs(basis, n) for n in range(n_max + 1)]
-    m = n_max + 2
-    off_max = 0.0
-    diag_err = 0.0
-    for i in range(n_max + 1):
-        for j in range(i, n_max + 1):
-            val = sobolev_inner_poly(basis, polys[i], polys[j], m)
-            if i == j:
-                ref = basis.s[i]
-                diag_err = np.maximum(diag_err, abs(val - ref) / ref)
-            else:
-                off_max = np.maximum(off_max, abs(val))
+    basis = sobolev_basis(lam, 10)
+    diag_err, off_max = _gram_errors(_sobolev_gram(basis, 12), basis.s)
     ok = off_max <= 1e-9 and diag_err <= 1e-10
     return ok, f"max off-diagonal {off_max:.2e} (tol 1e-9), diag rel err {diag_err:.2e} (tol 1e-10)"
 

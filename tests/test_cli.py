@@ -205,6 +205,15 @@ class TestCoeffsCommand:
             assert diff <= 1e-10 * a_rec
         assert all(math.isfinite(float(r[4])) for r in rows[1:])
 
+    @pytest.mark.parametrize("lam", ["1e-14", "3e-15"])
+    def test_tiny_lambda_ratio_column_stays_below_one(self, tmp_path, lam):
+        # 1 - a_n ~ 2 lam lives in the last digits of L_n^{(1)}(-4 lam) ~ n + 1;
+        # the ratio sweep in difference form keeps it, so no a_ratio rounds to 1.
+        assert main(["coeffs", "--lambda", lam, "--nmax", "1000", "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "an_table.csv")
+        assert len(rows) == 1001
+        assert all(0.0 < float(r[2]) < 1.0 for r in rows)
+
     def test_one_ratio_sweep_per_run(self, tmp_path, monkeypatch):
         # coeffs and the validate connection suite each take the whole
         # closed-form sequence from one call, not one call per index.
@@ -281,7 +290,16 @@ class TestValidateCommand:
             assert main(["validate", "--lambda", "1e9"]) == 1
         out, err = capsys.readouterr()
         assert out.splitlines()[-1].split()[:3] == ["sobolev-generating-function", "FAIL", "raised"]
-        assert err.startswith("validation failed: ") and err.count("\n") == 1
+        # One stderr line names every failing suite; the Gram's off-diagonals grow with lam.
+        assert err == "validation failed: sobolev-gram, sobolev-generating-function\n"
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 13.0, 200.0, 1000.0])
+    def test_sobolev_gram_passes_across_lambda(self, lam):
+        # Formed from basis tables on the rule nodes, not from monomial
+        # coefficients, whose rounding broke the 1e-9 bound from lam ~ 200 on.
+        results = {name: (ok, detail) for name, ok, detail in lagsob.validation.run_suites(lam)}
+        ok, detail = results["sobolev-gram"]
+        assert ok, detail
 
     @pytest.mark.parametrize("lam", ["60", "200"])
     def test_raising_suite_is_a_fail_line(self, capsys, lam):

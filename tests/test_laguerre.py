@@ -20,6 +20,7 @@ from lagsob import (
     connection_recurrence,
     gauss_laguerre,
     gen_fun_sobolev,
+    hardy_hille_check,
     laguerre_coeffs,
     laguerre_derivative,
     laguerre_eval,
@@ -202,6 +203,7 @@ ORDER_CALLS = {
     "sobolev_coeffs": ("n", 0, lambda n: sobolev_coeffs(_BASIS, n).coef),
     "alternating_sum_check": ("n", 0, lambda n: alternating_sum_check(_BASIS, n, 0.5)),
     "gen_fun_sobolev": ("n_trunc", 0, lambda n: gen_fun_sobolev(_BASIS, 0.5, 0.3, n)),
+    "hardy_hille_check": ("n_trunc", 0, lambda n: hardy_hille_check(1.0, 0.5, 0.5, -0.25, n)),
     "gauss_laguerre": ("rule size m", 1, lambda m: gauss_laguerre(1.0, m).nodes),
 }
 

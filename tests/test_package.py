@@ -25,7 +25,7 @@ def test_public_names_are_pinned():
         "QuadratureRule", "AdaptiveResult", "gauss_laguerre", "integrate", "integrate_plain",
         "integrate_adaptive",
         "SobolevBasis", "connection_recurrence", "connection_ratio", "connection_asymptotic",
-        "sobolev_basis", "sobolev_eval_all", "sobolev_coeffs", "sobolev_inner_poly",
+        "sobolev_basis", "sobolev_eval_all", "sobolev_coeffs",
         "alternating_sum_check", "gen_fun_sobolev", "hardy_hille_check",
         "BVProblem", "SpectralSolution", "solve", "partial_sum", "partial_sum_deriv",
         "sobolev_error", "sobolev_error_direct", "builtin_problem",

@@ -6,14 +6,18 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagsob import (
     alternating_sum_check,
     connection_asymptotic,
     connection_ratio,
     connection_recurrence,
+    gauss_laguerre,
     gen_fun_sobolev,
     hardy_hille_check,
+    integrate,
     laguerre_coeffs,
     laguerre_eval_all,
     LaguerreFamily,
@@ -21,8 +25,23 @@ from lagsob import (
     sobolev_basis,
     sobolev_coeffs,
     sobolev_eval_all,
-    sobolev_inner_poly,
 )
+from lagsob.validation import _sobolev_gram
+
+
+def sobolev_inner_poly(basis, p, q, m):
+    """Oracle <p, q>_S of numpy Polynomials by exact-degree alpha=1 and alpha=2 rules of size m."""
+    if p.degree() + q.degree() + 2 > 2 * m - 1:
+        raise ValueError(
+            f"rule size m={m} too small for degrees {p.degree()} and {q.degree()}; "
+            f"need deg p + deg q + 2 <= 2m - 1"
+        )
+    lam = basis.lam
+    dp, dq = p.deriv(), q.deriv()
+    first = integrate(gauss_laguerre(1.0, m), lambda x: p(x) * q(x) * (1.0 + lam - 0.25 * x))
+    second = integrate(gauss_laguerre(2.0, m), lambda x: dp(x) * dq(x))
+    return first + second
+
 
 LAMBDAS = [0.5, 1.0, 2.0, 10.0]
 
@@ -62,11 +81,29 @@ class TestConnectionSequence:
 
     @pytest.mark.parametrize("lam", [1e-3, 0.01, 1.0, 3.0, 100.0])
     def test_ratio_is_one_sweep_of_the_laguerre_table(self, lam):
-        # The sweep repeats the arithmetic of laguerre_eval_all exactly.
+        # The difference-form sweep gives the ratios of the alpha=1 table at -4 lam
+        # up to the table's own rounding (5e-15 at lam = 1e-3, where 1 - a_n is small).
         lag = laguerre_eval_all(LaguerreFamily(1.0), 201, -4.0 * lam)
         n = np.arange(201)
         expected = (n + 2.0) / (n + 1.0) * lag[:-1] / lag[1:]
-        assert np.array_equal(connection_ratio(lam, 201), expected)
+        np.testing.assert_allclose(connection_ratio(lam, 201), expected, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(log_lam=st.floats(-15.0, 3.0))
+    def test_ratio_matches_mpmath_down_to_tiny_lambda(self, log_lam):
+        # 1 - a_n ~ 2 lam sits in the last digits of L_n^{(1)}(-4 lam) ~ n + 1;
+        # the difference form keeps it down to lam = 1e-15 at n_max = 1000.
+        lam = 10.0**log_lam
+        a = connection_ratio(lam, 1001)
+        with mpmath.workdps(60):
+            x = -4 * mpmath.mpf(lam)
+            lo, hi = mpmath.mpf(1), 2 - x
+            for n in range(1001):
+                if n:
+                    lo, hi = hi, ((2 * n + 2 - x) * hi - (n + 1) * lo) / (n + 1)
+                if n % 50 == 0 or n == 1000:
+                    ref = mpmath.mpf(n + 2) / (n + 1) * lo / hi
+                    assert abs(a[n] - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("lam", [1000.0, 1e200])
     def test_ratio_survives_laguerre_overflow(self, lam):
@@ -129,12 +166,16 @@ class TestConnectionSequence:
     @pytest.mark.parametrize("lam, n_max", [(1e-17, 20), (1e-15, 1000)])
     def test_lambda_too_small_for_double_precision(self, lam, n_max):
         # 1 - a_n is O(lam): here some a_n rounds to 1, which is the caller's
-        # ValueError naming lam and n_max, not a broken recurrence.
+        # ValueError naming lam and n_max, not a broken recurrence.  The ratio
+        # sweep keeps every a_n below 1 unless a_0 = 1/(1 + 2 lam) itself rounds to 1.
         message = rf"lambda={lam!r} is too small for n_max={n_max}: a_\d+ rounds to 1"
         with pytest.raises(ValueError, match=message):
             sobolev_basis(lam, n_max)
-        with pytest.raises(ValueError, match=message):
-            connection_ratio(lam, n_max + 1)
+        if 1.0 + 2.0 * lam == 1.0:
+            with pytest.raises(ValueError, match=message):
+                connection_ratio(lam, n_max + 1)
+        else:
+            assert np.all(connection_ratio(lam, n_max + 1) < 1.0)
 
     def test_smallest_lambdas_that_fit_double_precision(self):
         assert sobolev_basis(1e-14, 1000).n_max == 1000
@@ -278,9 +319,13 @@ class TestSobolevInnerProduct:
         n_max = 10
         basis = sobolev_basis(lam, n_max)
         polys = [sobolev_coeffs(basis, n) for n in range(n_max + 1)]
+        table = _sobolev_gram(basis, n_max + 2)
         for i in range(n_max + 1):
             for j in range(i, n_max + 1):
                 val = sobolev_inner_poly(basis, polys[i], polys[j], n_max + 2)
+                # validate's table Gram agrees with this oracle to the rounding of its
+                # monomial coefficients (up to 6.5e-13 of the norms here).
+                assert abs(table[i, j] - val) <= 2e-12 * math.sqrt(basis.s[i] * basis.s[j])
                 if i == j:
                     assert val == pytest.approx(basis.s[i], rel=1e-10)
                 else:

@@ -141,7 +141,8 @@ def run_solve(args) -> int:
     print(f"problem {label}: lam={problem.lam:g}, n_max={args.n_max}")
     print(f"  uhat_0 = {sol.uhat[0]:.12g}, uhat_{args.n_max} = {sol.uhat[args.n_max]:.12g}")
     if eps is not None:
-        print(f"  eps_0 = {eps[0]:.6e}, eps_{args.n_max} = {eps[args.n_max]:.6e}")
+        last = f", eps_{args.n_max} = {eps[args.n_max]:.6e}" if args.n_max > 0 else ""
+        print(f"  eps_0 = {eps[0]:.6e}{last}")
     worst = max(r.achieved_tol for r in sol.quad_report)
     print(f"  quadrature: worst achieved tolerance {worst:.3e} "
           f"({'converged' if quad_ok else 'NOT converged at cap'})")

@@ -106,6 +106,16 @@ class TestSolveCommand:
         for name in ("solution.csv", "convergence.csv", "coeffs.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "n_max, line",
+        [(0, "  eps_0 = 3.948029e-01"), (20, "  eps_0 = 3.948029e-01, eps_20 = 6.446918e-08")],
+    )
+    def test_eps_line_names_each_index_once(self, tmp_path, capsys, n_max, line):
+        argv = ["solve", "--problem", "exp-decay", "--nmax", str(n_max), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        eps_lines = [s for s in capsys.readouterr().out.splitlines() if "eps_0 =" in s]
+        assert eps_lines == [line]
+
     def test_zero_expression(self, tmp_path):
         code = main(["solve", "--f-expr", "0", "--nmax", "5", "--out-dir", str(tmp_path)])
         assert code == 0

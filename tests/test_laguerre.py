@@ -31,7 +31,8 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
-from lagsob.laguerre import _check_order
+from lagsob.laguerre import _CACHE_MAX_POINTS, _TABLES, _check_order
+from lagsob.quadrature import M_MAX
 
 GRID = np.linspace(-10.0, 40.0, 50)
 ALPHAS = [0.0, 0.5, 1.0, 2.0]
@@ -180,6 +181,109 @@ class TestKernelIsReference:
         finally:
             tracemalloc.stop()
         assert peak - table.nbytes <= x.nbytes + 256 * 1024
+
+
+
+@pytest.fixture
+def cold_tables():
+    """An empty table cache before and after the test."""
+    _TABLES.clear()
+    yield _TABLES
+    _TABLES.clear()
+
+
+# Shared points in [-50, 1000]: tables at the far points overflow before n = 240.
+_SHARED = np.concatenate([[-0.0, 0.0], np.random.default_rng(17).uniform(-50.0, 1000.0, 46)])
+# Views of the shared points: 1-d, strided, 2-d, non-contiguous 2-d, 0-d and empty.
+_VIEWS = [
+    lambda: _SHARED,
+    lambda: _SHARED[::3],
+    lambda: _SHARED[::3].copy(),
+    lambda: _SHARED.reshape(6, 8),
+    lambda: _SHARED.reshape(6, 8)[:, ::2],
+    lambda: _SHARED[:24].reshape(4, 6).T,
+    lambda: np.array(_SHARED[5]),
+    lambda: _SHARED[:0],
+    lambda: np.empty((0, 3)),
+]
+
+
+def _cache_cost(cache):
+    return sum(cache._cost(key, table) for key, table in cache._entries.items())
+
+
+class TestTableCache:
+    """Point sets of at most quadrature.M_MAX points reuse the rows of earlier calls."""
+
+    def test_point_limit_is_the_largest_policy_rule(self):
+        assert _CACHE_MAX_POINTS == M_MAX
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from([-0.5, 0.0, 1.0, 2.5]),
+                st.integers(0, 240),
+                st.integers(0, len(_VIEWS) - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_interleaved_calls_match_the_reference(self, calls):
+        _TABLES.clear()
+        try:
+            for alpha, n_max, view in calls:
+                fam, x = LaguerreFamily(alpha), _VIEWS[view]()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = laguerre_eval_all(fam, n_max, x)
+                ref = reference_eval_all(fam, n_max, x)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+                assert all(np.isfinite(t).all() and not t.flags.writeable for t in _TABLES._entries.values())
+        finally:
+            _TABLES.clear()
+
+    def test_results_are_fresh_writable_arrays(self, cold_tables):
+        x = gauss_laguerre(1.0, 64).nodes
+        first = laguerre_eval_all(_L1, 30, x)  # computed and stored
+        again = laguerre_eval_all(_L1, 30, x)  # the stored depth
+        short = laguerre_eval_all(_L1, 20, x)  # a prefix of it
+        (stored,) = cold_tables._entries.values()
+        assert not stored.flags.writeable
+        arrays = [first, again, short, stored]
+        assert all(t.flags.writeable for t in arrays[:3])
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+        expected = reference_eval_all(_L1, 30, x)
+        for table in arrays[:3]:
+            table[:] = -1.0
+        assert np.array_equal(laguerre_eval_all(_L1, 30, x), expected)
+        assert np.array_equal(laguerre_eval_all(_L1, 25, x), expected[:26])
+
+    def test_scalars_and_large_grids_bypass_the_cache(self, cold_tables):
+        laguerre_eval_all(_L1, 30, 0.5)
+        laguerre_eval_all(_L1, 30, np.linspace(0.0, 20.0, _CACHE_MAX_POINTS + 1))
+        assert not cold_tables._entries and cold_tables.nbytes == 0
+
+    def test_overflowing_tables_are_recomputed_and_warn_each_time(self, cold_tables):
+        x = np.array([1.0, 3000.0])  # rows turn inf at n = 193 at the far point
+        ref = reference_eval_all(_L1, 240, x)
+        for depth in (None, None, 100, 100):
+            if depth is not None:
+                assert np.array_equal(laguerre_eval_all(_L1, depth, x), ref[: depth + 1])
+            with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="overflow"):
+                got = laguerre_eval_all(_L1, 240, x)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert [len(t) for t in cold_tables._entries.values()] == ([] if depth is None else [101])
+
+    def test_a_table_over_the_budget_is_returned_not_stored(self, cold_tables):
+        x = np.linspace(0.01, 1.0, _CACHE_MAX_POINTS)
+        n_max = cold_tables.budget // x.nbytes
+        got = laguerre_eval_all(_L1, n_max, x)
+        assert got.nbytes > cold_tables.budget
+        assert np.array_equal(got, reference_eval_all(_L1, n_max, x))
+        assert not cold_tables._entries and cold_tables.nbytes == 0
 
 
 _L1 = LaguerreFamily(1.0)

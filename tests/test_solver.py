@@ -7,6 +7,7 @@ numbers below carry no quadrature error of their own.
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import mpmath
@@ -31,6 +32,7 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
+from lagsob import laguerre
 from lagsob.quadrature import M0
 from lagsob.solver import _clenshaw
 
@@ -239,6 +241,66 @@ class TestSolve:
     def test_rejects_nonfinite_rhs(self):
         with pytest.raises(ValueError, match="node"):
             solve(BVProblem(lam=1.0, rhs=lambda x: np.full_like(x, np.nan)), n_max=0)
+
+
+class TestTableReuse:
+    """solve tabulates L_n^{(1)} once per node set, shared across indices and solves."""
+
+    @pytest.fixture(autouse=True)
+    def cold_tables(self):
+        laguerre._TABLES.clear()
+        yield
+        laguerre._TABLES.clear()
+
+    def test_rows_are_computed_once_per_node_set(self, monkeypatch):
+        computed = []
+        recur = laguerre._recur
+
+        def counting(rows, xf, alpha, k):
+            computed.append(len(rows) - 1 - k)
+            recur(rows, xf, alpha, k)
+
+        monkeypatch.setattr(laguerre, "_recur", counting)
+        solve(builtin_problem("exp-decay"), 100)
+        # Four rule sizes, 101 rows each at most.
+        assert 0 < sum(computed) <= 4 * 101
+        computed.clear()
+        solve(builtin_problem("rational-decay"), 100)
+        assert sum(computed) == 0
+
+    def test_cache_stays_within_its_budget(self):
+        cache = laguerre._TABLES
+        sol = solve(builtin_problem("exp-decay"), 237)
+        sobolev_error_direct(sol, 237)
+        assert 0 < cache.nbytes <= cache.budget
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            laguerre_eval_all(LaguerreFamily(1.0), 237, rng.uniform(0.0, 50.0, 256))
+            assert cache.nbytes <= cache.budget
+        assert cache.nbytes == sum(cache._cost(k, t) for k, t in cache._entries.items())
+        entries = [(key, id(table)) for key, table in cache._entries.items()]
+        laguerre_eval_all(LaguerreFamily(1.0), 237, np.linspace(0.0, 50.0, 20_000))
+        assert [(key, id(table)) for key, table in cache._entries.items()] == entries
+
+    def test_threads_match_a_serial_solve(self):
+        names = ("exp-decay", "rational-decay")
+        serial = {name: solve(builtin_problem(name), 100) for name in names}
+        laguerre._TABLES.clear()
+        results = []
+
+        def work():
+            for _ in range(3):
+                for name in names:
+                    results.append((name, solve(builtin_problem(name), 100)))
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(results) == 12
+        for name, sol in results:
+            assert np.array_equal(sol.g, serial[name].g) and np.array_equal(sol.uhat, serial[name].uhat)
 
 
 class TestPartialSums:

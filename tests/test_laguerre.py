@@ -183,7 +183,6 @@ class TestKernelIsReference:
         assert peak - table.nbytes <= x.nbytes + 256 * 1024
 
 
-
 @pytest.fixture
 def cold_tables():
     """An empty table cache before and after the test."""
@@ -192,8 +191,10 @@ def cold_tables():
     _TABLES.clear()
 
 
-# Shared points in [-50, 1000]: tables at the far points overflow before n = 240.
+# Shared points: tables on [-50, 1000] stay finite to n = 240; at 3000 they
+# overflow from n = 193, so deeper tables there are never stored.
 _SHARED = np.concatenate([[-0.0, 0.0], np.random.default_rng(17).uniform(-50.0, 1000.0, 46)])
+_FAR = np.array([1.0, 3000.0, -50.0, 500.0])
 # Views of the shared points: 1-d, strided, 2-d, non-contiguous 2-d, 0-d and empty.
 _VIEWS = [
     lambda: _SHARED,
@@ -205,11 +206,9 @@ _VIEWS = [
     lambda: np.array(_SHARED[5]),
     lambda: _SHARED[:0],
     lambda: np.empty((0, 3)),
+    lambda: _FAR,
+    lambda: _FAR.reshape(2, 2)[:, ::-1],
 ]
-
-
-def _cache_cost(cache):
-    return sum(cache._cost(key, table) for key, table in cache._entries.items())
 
 
 class TestTableCache:

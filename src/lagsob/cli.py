@@ -95,6 +95,12 @@ def _make_problem(args):
     )
 
 
+def _ends(name: str, values, spec: str, n_max: int) -> str:
+    """'name_0 = v_0, name_N = v_N', naming index 0 once when n_max is 0."""
+    first = f"{name}_0 = {values[0]:{spec}}"
+    return first + (f", {name}_{n_max} = {values[n_max]:{spec}}" if n_max > 0 else "")
+
+
 def run_solve(args) -> int:
     try:
         problem = _make_problem(args)
@@ -139,10 +145,9 @@ def run_solve(args) -> int:
 
     label = problem.label or "custom"
     print(f"problem {label}: lam={problem.lam:g}, n_max={args.n_max}")
-    print(f"  uhat_0 = {sol.uhat[0]:.12g}, uhat_{args.n_max} = {sol.uhat[args.n_max]:.12g}")
+    print(f"  {_ends('uhat', sol.uhat, '.12g', args.n_max)}")
     if eps is not None:
-        last = f", eps_{args.n_max} = {eps[args.n_max]:.6e}" if args.n_max > 0 else ""
-        print(f"  eps_0 = {eps[0]:.6e}{last}")
+        print(f"  {_ends('eps', eps, '.6e', args.n_max)}")
     worst = max(r.achieved_tol for r in sol.quad_report)
     print(f"  quadrature: worst achieved tolerance {worst:.3e} "
           f"({'converged' if quad_ok else 'NOT converged at cap'})")

@@ -116,6 +116,16 @@ class TestSolveCommand:
         eps_lines = [s for s in capsys.readouterr().out.splitlines() if "eps_0 =" in s]
         assert eps_lines == [line]
 
+    @pytest.mark.parametrize(
+        "n_max, line",
+        [(0, "  uhat_0 = 0.168714914277"), (20, "  uhat_0 = 0.168714914277, uhat_20 = -2.99843385597e-05")],
+    )
+    def test_uhat_line_names_each_index_once(self, tmp_path, capsys, n_max, line):
+        argv = ["solve", "--problem", "exp-decay", "--nmax", str(n_max), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        uhat_lines = [s for s in capsys.readouterr().out.splitlines() if "uhat_0 =" in s]
+        assert uhat_lines == [line]
+
     def test_zero_expression(self, tmp_path):
         code = main(["solve", "--f-expr", "0", "--nmax", "5", "--out-dir", str(tmp_path)])
         assert code == 0

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -259,6 +261,48 @@ class TestTableCache:
             table[:] = -1.0
         assert np.array_equal(laguerre_eval_all(_L1, 30, x), expected)
         assert np.array_equal(laguerre_eval_all(_L1, 25, x), expected[:26])
+
+    def test_published_rows_are_never_written(self, cold_tables):
+        x = gauss_laguerre(1.0, 64).nodes
+        key = (1.0, x.tobytes())
+        laguerre_eval_all(_L1, 30, x)
+        held = cold_tables.get(key)
+        # Depth 31 fills the 32-row map in place; 60 and 200 map anew, at 64 and 256 rows.
+        for depth, room, in_place in ((31, 32, True), (60, 64, False), (200, 256, False)):
+            laguerre_eval_all(_L1, depth, x)
+            table = cold_tables.get(key)
+            assert len(table) == depth + 1 and not table.flags.writeable
+            assert len(table.base) == room * x.nbytes and (table.base is held.base) == in_place
+            assert cold_tables.nbytes == cold_tables._cost(key, table)
+            assert np.array_equal(held, reference_eval_all(_L1, 30, x))
+        assert np.array_equal(table, reference_eval_all(_L1, 200, x))
+
+    def test_two_threads_growing_one_node_set_match_the_reference(self, cold_tables):
+        x = gauss_laguerre(1.0, 128).nodes
+        ref = reference_eval_all(_L1, 200, x)
+        results = []
+
+        def grow(depths, barrier):
+            barrier.wait()
+            results.extend((n, laguerre_eval_all(_L1, n, x)) for n in depths)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between most calls
+        try:
+            for _ in range(3):
+                cold_tables.clear()
+                barrier = threading.Barrier(2)
+                # One thread asks for the even depths, the other for the odd ones.
+                threads = [threading.Thread(target=grow, args=(range(s, 201, 2), barrier)) for s in (0, 1)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert np.array_equal(cold_tables.get((1.0, x.tobytes())), ref)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 3 * 201
+        assert all(np.array_equal(got, ref[: n + 1]) for n, got in results)
 
     def test_scalars_and_large_grids_bypass_the_cache(self, cold_tables):
         laguerre_eval_all(_L1, 30, 0.5)

@@ -7,8 +7,10 @@ numbers below carry no quadrature error of their own.
 
 import dataclasses
 import math
+import mmap
 import threading
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -267,6 +269,30 @@ class TestTableReuse:
         computed.clear()
         solve(builtin_problem("rational-decay"), 100)
         assert sum(computed) == 0
+
+    @pytest.mark.parametrize("n_max", [100, 200])
+    def test_a_cold_solve_maps_each_node_set_a_few_times(self, monkeypatch, n_max):
+        maps, computed = [], []
+        recur = laguerre._recur
+
+        def counting_mmap(fileno, length):
+            maps.append(length)
+            return mmap.mmap(fileno, length)
+
+        def counting_recur(rows, xf, alpha, k):
+            computed.append(len(rows) - 1 - k)
+            recur(rows, xf, alpha, k)
+
+        monkeypatch.setattr(laguerre, "mmap", types.SimpleNamespace(mmap=counting_mmap, PAGESIZE=mmap.PAGESIZE))
+        monkeypatch.setattr(laguerre, "_recur", counting_recur)
+        solve(builtin_problem("exp-decay"), n_max)
+        widths = [t.shape[1] for t in laguerre._TABLES._entries.values()]
+        assert len(widths) == 4
+        # Each of the four node sets maps 8, 16, 32, ... rows: one map per doubling.
+        assert 0 < len(maps) <= 4 * (1 + math.ceil(math.log2(n_max + 1)))
+        # Those maps hold fewer than 4 (n_max+1) rows per node set in all.
+        assert sum(maps) < 4 * (n_max + 1) * 8 * sum(widths)
+        assert 0 < sum(computed) <= 4 * (n_max + 1)
 
     def test_cache_stays_within_its_budget(self):
         cache = laguerre._TABLES

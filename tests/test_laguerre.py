@@ -282,23 +282,25 @@ class TestTableCache:
         ref = reference_eval_all(_L1, 200, x)
         results = []
 
-        def grow(depths, barrier):
+        def grow(depths, barrier, out):
             barrier.wait()
-            results.extend((n, laguerre_eval_all(_L1, n, x)) for n in depths)
+            out.extend((n, laguerre_eval_all(_L1, n, x)) for n in depths)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads between most calls
         try:
             for _ in range(3):
                 cold_tables.clear()
-                barrier = threading.Barrier(2)
+                barrier, outs = threading.Barrier(2), ([], [])
                 # One thread asks for the even depths, the other for the odd ones.
-                threads = [threading.Thread(target=grow, args=(range(s, 201, 2), barrier)) for s in (0, 1)]
+                threads = [threading.Thread(target=grow, args=(range(s, 201, 2), barrier, outs[s])) for s in (0, 1)]
                 for t in threads:
                     t.start()
                 for t in threads:
-                    t.join()
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
                 assert np.array_equal(cold_tables.get((1.0, x.tobytes())), ref)
+                results += outs[0] + outs[1]
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 3 * 201

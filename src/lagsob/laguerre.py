@@ -64,12 +64,10 @@ def _recur(rows: np.ndarray, xf: np.ndarray, alpha: float, k: int) -> None:
     Each row n+1 is seeded with (2n+1+alpha) - x, the floats of the scalar
     expression since 2n+1 is exact, then finished as
     ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) / (n+1); row 1 is final once
-    seeded.  The result does not depend on k.  A one-row call, the common case
-    of a growing cached table, seeds from a Python float instead of a column.
+    seeded.  The result does not depend on k.
     """
     top = len(rows) - 1
-    seed = 2 * k + 1 + alpha if top == k + 1 else (2 * np.arange(k, top) + 1 + alpha)[:, None]
-    np.subtract(seed, xf, out=rows[k + 1 :])
+    np.subtract((2 * np.arange(k, top) + 1 + alpha)[:, None], xf, out=rows[k + 1 :])
     tmp = np.empty_like(xf)
     start = max(k, 1)
     lo, mid = rows[start - 1], rows[min(start, top)]
@@ -93,14 +91,11 @@ class _TableCache:
     """Least-recently-used store of read-only, all-finite tables L_0..L_N, keyed on
     (alpha, the float64 bytes of the points).
 
-    Each key owns one anonymous memory map, outside the malloc heap: long-lived
-    entries there would pin the heap's top, so the freed temporaries of every
-    other caller would stay mapped and its later large allocations would
-    page-fault differently.  A map has room for the next power of two of rows,
-    at least MIN_ROWS, or for the table's own rows where that room would break
-    the budget.  A deeper table writes only its rows past the published ones
-    into the map and publishes a longer read-only view of it; only a table past
-    the map's room maps anew.  Published rows are never written again, so
+    Each table sits in its own anonymous memory map, outside the malloc heap:
+    long-lived entries there would pin the heap's top, so the freed temporaries
+    of every other caller would stay mapped and its later large allocations
+    would page-fault differently.  A map is sized to its table and written once,
+    before it is published; a deeper table replaces the entry with a new map, so
     concurrent callers see a complete table or none.  An entry costs its map's
     whole pages, its key bytes and a fixed overhead, and the costs stay within
     budget.
@@ -108,7 +103,6 @@ class _TableCache:
 
     # Bytes charged per entry besides its pages and key: the dict slot and array header.
     OVERHEAD = 256
-    MIN_ROWS = 8
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -116,12 +110,8 @@ class _TableCache:
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def _map_cost(self, key, nbytes: int) -> int:
-        return -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE + len(key[1]) + self.OVERHEAD
-
     def _cost(self, key, table) -> int:
-        """The charge of an entry: table is a view of its map (table.base)."""
-        return self._map_cost(key, len(table.base))
+        return -(-table.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE + len(key[1]) + self.OVERHEAD
 
     def get(self, key):
         with self._lock:
@@ -131,30 +121,22 @@ class _TableCache:
             return table
 
     def put(self, key, table: np.ndarray) -> None:
-        """Publish table as the entry of key unless it is too large or the entry is as deep."""
-        depth, row_bytes = len(table), table[0].nbytes
+        """Publish a read-only copy of table unless it is over the budget or the entry is as deep."""
+        cost = self._cost(key, table)
+        if cost > self.budget:
+            return
         with self._lock:
             old = self._entries.get(key)
-            if old is not None and len(old) >= depth:
+            if old is not None and len(old) >= len(table):
                 return
-            if old is not None and len(old.base) >= table.nbytes:
-                store, start = old.base, len(old)
-            else:
-                rows = max(self.MIN_ROWS, 1 << (depth - 1).bit_length())
-                if self._map_cost(key, rows * row_bytes) > self.budget:
-                    rows = depth
-                cost = self._map_cost(key, rows * row_bytes)
-                if cost > self.budget:
-                    return
-                store, start = mmap.mmap(-1, rows * row_bytes), 0
-                if old is not None:
-                    self.nbytes -= self._cost(key, old)
-                self.nbytes += cost
-            view = np.ndarray(table.shape, table.dtype, buffer=store)
-            view[start:] = table[start:]
+            view = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, table.nbytes))
+            view[:] = table
             view.setflags(write=False)
+            if old is not None:
+                self.nbytes -= self._cost(key, old)
             self._entries[key] = view
             self._entries.move_to_end(key)
+            self.nbytes += cost
             while self.nbytes > self.budget:
                 self.nbytes -= self._cost(*self._entries.popitem(last=False))
 

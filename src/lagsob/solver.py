@@ -95,7 +95,10 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     Each g(n) integral adapts its rule size independently under the one
     policy of quadrature.integrate_adaptive; non-convergence at the cap is
     recorded in quad_report, not raised.  Only non-finite integrand
-    values abort.
+    values abort.  The g(n) are independent, so they are computed from
+    n_max down: the first Laguerre table on each rule's nodes is then the
+    deepest the solve needs, stored once, and every later index reads a
+    prefix of it.
     """
     n_max = _check_order("n_max", n_max)
     basis = sobolev_basis(problem.lam, n_max)
@@ -112,10 +115,10 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
         return fx
 
     g = np.empty(n_max + 1)
-    report = []
+    report = [None] * (n_max + 1)
     # The integrator's finiteness check refuses, and names, a node where h overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_max + 1):
+        for n in range(n_max, -1, -1):
             # Only rhs falls back to per-node calls; the table is built once per rule.
             def h(x, n=n):
                 return _vectorised(counted_rhs, x) * laguerre_eval_all(_L1, n, x)[n]
@@ -123,14 +126,12 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
             # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.
             res = integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
             g[n] = res.value
-            report.append(res)
+            report[n] = res
 
     fhat = np.empty(n_max + 1)
     fhat[0] = g[0]
-    steps = 0
     for n in range(1, n_max + 1):
         fhat[n] = g[n] - basis.a[n - 1] * fhat[n - 1]
-        steps += 1
     uhat = fhat / basis.s
 
     return SpectralSolution(
@@ -142,7 +143,7 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
         quad_report=report,
         problem=problem,
         integrand_evals=evals,
-        recurrence_steps=steps,
+        recurrence_steps=n_max,
     )
 
 

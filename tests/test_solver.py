@@ -271,7 +271,7 @@ class TestTableReuse:
         assert sum(computed) == 0
 
     @pytest.mark.parametrize("n_max", [100, 200])
-    def test_a_cold_solve_maps_each_node_set_a_few_times(self, monkeypatch, n_max):
+    def test_a_cold_solve_maps_each_node_set_once(self, monkeypatch, n_max):
         maps, computed = [], []
         recur = laguerre._recur
 
@@ -286,13 +286,13 @@ class TestTableReuse:
         monkeypatch.setattr(laguerre, "mmap", types.SimpleNamespace(mmap=counting_mmap, PAGESIZE=mmap.PAGESIZE))
         monkeypatch.setattr(laguerre, "_recur", counting_recur)
         solve(builtin_problem("exp-decay"), n_max)
-        widths = [t.shape[1] for t in laguerre._TABLES._entries.values()]
-        assert len(widths) == 4
-        # Each of the four node sets maps 8, 16, 32, ... rows: one map per doubling.
-        assert 0 < len(maps) <= 4 * (1 + math.ceil(math.log2(n_max + 1)))
-        # Those maps hold fewer than 4 (n_max+1) rows per node set in all.
-        assert sum(maps) < 4 * (n_max + 1) * 8 * sum(widths)
-        assert 0 < sum(computed) <= 4 * (n_max + 1)
+        tables = list(laguerre._TABLES._entries.values())
+        assert len(tables) == 4
+        # The deepest index comes first, so each node set maps its whole table once.
+        assert sorted(maps) == sorted(t.nbytes for t in tables)
+        assert all(len(t) == n_max + 1 for t in tables)
+        # Rows 1..n_max of each node set, computed once.
+        assert sum(computed) == 4 * n_max
 
     def test_cache_stays_within_its_budget(self):
         cache = laguerre._TABLES

@@ -1,16 +1,17 @@
 """Build the Laguerre-Sobolev basis and inspect its first members.
 
 The polynomials S_n are produced by one forward recursion from the classical
-Laguerre family: S_n = L_n^{(1)} - a_{n-1} S_{n-1}.  The scalar coefficients
-a_n come from a two-term recurrence, but they also have a closed form as a
-ratio of Laguerre values at -4*lambda -- both are printed side by side.
+Laguerre family: S_n = L_n^{(1)} - a_{n-1} S_{n-1}.  The basis takes the
+scalar coefficients a_n from their closed form as a ratio of Laguerre values
+at -4*lambda, and its squared norms from a_n s(n) = (n+1)(n+2)/4.  The a_n
+also obey a two-term recurrence -- both forms are printed side by side.
 """
 
 import numpy as np
 
 from lagsob import (
     connection_asymptotic,
-    connection_ratio,
+    connection_recurrence,
     sobolev_basis,
     sobolev_coeffs,
     sobolev_eval_all,
@@ -31,10 +32,10 @@ for n in range(5):
 
 print("\nConnection coefficients, recurrence vs closed ratio form:")
 print(f"  {'n':>4} {'a_n (recurrence)':>20} {'a_n (ratio)':>20} {'1 - 2 sqrt(lam/n)':>20}")
-a_ratio = connection_ratio(lam, 10)
+a_recur = connection_recurrence(lam, 10)
 for n in range(10):
-    a_rec = basis.a[n]
-    a_rat = a_ratio[n]
+    a_rec = a_recur[n]
+    a_rat = basis.a[n]
     asym = connection_asymptotic(lam, n) if n >= 1 else float("nan")
     print(f"  {n:>4} {a_rec:>20.15f} {a_rat:>20.15f} {asym:>20.15f}")
 

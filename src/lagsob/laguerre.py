@@ -58,26 +58,27 @@ def _check_order(name: str, n, lo: int = 0, hi: float = float("inf")) -> int:
     return int(n)
 
 
-def _recur(rows: np.ndarray, xf: np.ndarray, alpha: float, k: int) -> None:
-    """Rows k+1..N of the table rows (N+1 by len(xf)) from its rows 0..k, in place.
+def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
+    """A fresh (n_max+1) x len(xf) table L_0..L_{n_max} at the points xf.
 
     Each row n+1 is seeded with (2n+1+alpha) - x, the floats of the scalar
-    expression since 2n+1 is exact, then finished as
+    expression since 2n+1 is exact, then finished in place as
     ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) / (n+1); row 1 is final once
-    seeded.  The result does not depend on k.
+    seeded.
     """
-    top = len(rows) - 1
-    np.subtract((2 * np.arange(k, top) + 1 + alpha)[:, None], xf, out=rows[k + 1 :])
+    rows = np.empty((n_max + 1, xf.size))
+    rows[0] = 1.0
+    np.subtract((2 * np.arange(n_max) + 1 + alpha)[:, None], xf, out=rows[1:])
     tmp = np.empty_like(xf)
-    start = max(k, 1)
-    lo, mid = rows[start - 1], rows[min(start, top)]
-    for n in range(start, top):
+    lo, mid = rows[0], rows[min(1, n_max)]
+    for n in range(1, n_max):
         r = rows[n + 1]
         r *= mid
         np.multiply(n + alpha, lo, tmp)
         r -= tmp
         r /= n + 1
         lo, mid = mid, r
+    return rows
 
 
 # Point sets of at most this many points keep their tables between calls: the
@@ -150,17 +151,14 @@ _TABLES = _TableCache(8 << 20)
 
 
 def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
-    """A fresh (n_max+1) x len(xf) table: rows of the cached table of xf, continued by
-    _recur past its depth; the result is stored if every new row is finite."""
+    """A fresh (n_max+1) x len(xf) table: a prefix of the cached table of xf if that
+    is deep enough, else built whole and stored if every row is finite."""
     key = (alpha, xf.tobytes())
     head = _TABLES.get(key)
     if head is not None and len(head) > n_max:
         return head[: n_max + 1].copy()
-    rows = np.empty((n_max + 1, xf.size))
-    k = 0 if head is None else len(head) - 1
-    rows[: k + 1] = 1.0 if head is None else head
-    _recur(rows, xf, alpha, k)
-    if np.isfinite(rows[k + 1 :]).all():
+    rows = _table(alpha, n_max, xf)
+    if np.isfinite(rows).all():
         _TABLES.put(key, rows)
     return rows
 
@@ -188,9 +186,7 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
     if 0 < xf.size <= _CACHE_MAX_POINTS:
         rows = _cached_rows(float(alpha), n_max, xf)
     else:
-        rows = np.empty((n_max + 1, xf.size))
-        rows[0] = 1.0
-        _recur(rows, xf, alpha, 0)
+        rows = _table(alpha, n_max, xf)
     return rows.reshape((n_max + 1,) + xa.shape)
 
 

@@ -9,9 +9,10 @@ equivalently <p x e^{-x/2}, q x e^{-x/2}> in the energy inner product
 lam * int u v / x dx + int u' v' dx of the singular-potential operator.
 
 Everything flows from the one-step connection L_n^{(1)} = S_n + a_{n-1} S_{n-1}:
-the scalar coefficients a_n carry the whole construction, and they obey both
-a forward recurrence and a closed ratio formula at the point -4*lam, which the
-module exposes side by side so each can certify the other.
+the scalar coefficients a_n carry the whole construction.  The basis takes them
+from the closed ratio formula at the point -4*lam, one sweep, and its squared
+norms from the closed form a_n s(n) = (n+1)(n+2)/4.  The a_n also obey a forward
+recurrence; it is kept as the independent check on the sweep.
 """
 
 from __future__ import annotations
@@ -128,25 +129,18 @@ class SobolevBasis:
         return self.s.size - 1
 
 
-def _norm_recurrence(lam: float, a, n_max: int) -> np.ndarray:
-    """s(0) = lam + 1/2 and s(n) = (n+1)(lam + (n+1)/2) - a_{n-1}^2 s(n-1)."""
-    s = np.empty(n_max + 1)
-    s[0] = lam + 0.5
-    for n in range(1, n_max + 1):
-        s[n] = (n + 1) * (lam + (n + 1) / 2.0) - a[n - 1] ** 2 * s[n - 1]
-    return s
-
-
 def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
     """Build the basis data for S_0..S_{n_max}: a_0..a_{n_max} and s(0)..s(n_max).
 
-    a_{n_max} is not needed by S_0..S_{n_max}; it is kept so that every index
-    of the basis has its connection coefficient.
+    The a_n come from one connection_ratio sweep, and s(n) = (n+1)(n+2)/(4 a_n)
+    is the closed form of the projection coefficient a_n s(n) = (n+1)(n+2)/4;
+    so a_{n_max}, which S_0..S_{n_max} do not need, gives s(n_max).
     """
     lam = _check_lam(lam)
     n_max = _check_order("n_max", n_max)
-    a = connection_recurrence(lam, n_max + 1)
-    return SobolevBasis(lam=lam, a=a, s=_norm_recurrence(lam, a, n_max))
+    a = connection_ratio(lam, n_max + 1)
+    n = np.arange(n_max + 1.0)
+    return SobolevBasis(lam=lam, a=a, s=(n + 1.0) * (n + 2.0) / (4.0 * a))
 
 
 def _connect(a, table: np.ndarray) -> np.ndarray:
@@ -186,12 +180,13 @@ def alternating_sum_check(basis: SobolevBasis, n: int, x: float) -> float:
 
     S_n(x) L_n^{(1)}(-4 lam)/(n+1) telescopes into the alternating sum of
     L_k^{(1)}(x) L_k^{(1)}(-4 lam)/(k+1).  Divided by its left-hand factor the
-    identity reads S_n(x) = sum_k (-1)^{n-k} a_k ... a_{n-1} L_k^{(1)}(x), with
-    the a_k of connection_ratio, so no value at -4 lam is formed and none
-    overflows.  Returns |lhs - rhs| / |lhs|.
+    identity reads S_n(x) = sum_k (-1)^{n-k} a_k ... a_{n-1} L_k^{(1)}(x), so no
+    value at -4 lam is formed and none overflows.  The weights take their a_k
+    from connection_recurrence and the left side from basis.a, the ratio sweep,
+    so the check compares the two.  Returns |lhs - rhs| / |lhs|.
     """
     n = _check_order("n", n, hi=basis.n_max)
-    a = connection_ratio(basis.lam, n + 1)[:n]
+    a = connection_recurrence(basis.lam, n + 1)[:n]
     # weights[k] = a_k ... a_{n-1} times (-1)^{n-k}; weights[n] = 1.
     weights = np.append(np.cumprod(-a[::-1])[::-1], 1.0)
     lhs = sobolev_eval_all(basis, n, x)[n]
@@ -217,11 +212,10 @@ def gen_fun_sobolev(basis: SobolevBasis, x: float, omega: float, n_trunc: int):
     root = math.sqrt(x * lam * omega)
     z = 4.0 * root / (1.0 - omega)
 
-    # L_n^{(1)}(-4 lam)/(n+1) = 1/(a_0 ... a_{n-1}) with the a_k of connection_ratio.
-    a = connection_ratio(lam, n_trunc + 1)[:n_trunc]
+    # L_n^{(1)}(-4 lam)/(n+1) = 1/(a_0 ... a_{n-1}).
     # At large lam the weights leave double range: fail the check, do not warn.
     with np.errstate(over="raise", invalid="raise"):
-        weights = np.append(1.0, np.cumprod(omega / a))
+        weights = np.append(1.0, np.cumprod(omega / basis.a[:n_trunc]))
         lhs = float(np.dot(weights, sobolev_eval_all(basis, n_trunc, x)))
     rhs = (
         math.exp(-(x - 4.0 * lam) * omega / (1.0 - omega))

@@ -29,7 +29,6 @@ from lagsob import (
     to_callable,
 )
 from lagsob.cli import main
-from lagsob.sobolev import _norm_recurrence
 from lagsob.validation import SUITE_NAMES
 
 
@@ -148,7 +147,7 @@ class TestSolveCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 0
         _, rows = read_csv(tmp_path / "coeffs.csv")
-        assert [float(r[1]) for r in rows] == connection_recurrence(2.0, 8).tolist()
+        assert [float(r[1]) for r in rows] == connection_ratio(2.0, 8).tolist()
 
     def test_rational_decay_reports_quadrature_cap(self, tmp_path):
         code = main(["solve", "--problem", "rational-decay", "--nmax", "20",
@@ -282,11 +281,12 @@ class TestValidateCommand:
         assert main(["validate", "--lambda", "2"]) == 0
 
     def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
-        # a_0 off by 1e-6, norms recomputed from the shifted sequence.
+        # a_0 off by 1e-6, norms recomputed from the shifted sequence by a_n s(n) = (n+1)(n+2)/4.
         def shifted_basis(lam, n_max):
             a = sobolev_basis(lam, n_max).a.copy()
             a[0] += 1e-6
-            return SobolevBasis(lam=lam, a=a, s=_norm_recurrence(lam, a, n_max))
+            n = np.arange(n_max + 1.0)
+            return SobolevBasis(lam=lam, a=a, s=(n + 1.0) * (n + 2.0) / (4.0 * a))
 
         monkeypatch.setattr("lagsob.validation.sobolev_basis", shifted_basis)
         assert main(["validate"]) == 1

@@ -271,7 +271,7 @@ class TestTableCache:
             laguerre_eval_all(_L1, depth, x)
             table = cold_tables.get(key)
             assert len(table) == depth + 1 and not table.flags.writeable
-            # A deeper call copies the stored rows into a new map of exactly the table's bytes.
+            # A deeper call builds its table whole into a new map of exactly the table's bytes.
             assert len(table.base) == table.nbytes and table.base is not held.base
             assert cold_tables.nbytes == sum(cold_tables._cost(k, t) for k, t in cold_tables._entries.items())
             assert np.array_equal(held, reference_eval_all(_L1, 30, x))

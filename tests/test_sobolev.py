@@ -142,11 +142,11 @@ class TestConnectionSequence:
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_basis_carries_a_n_max(self, n):
-        # The basis holds a_0..a_{n_max}, the prefix of a longer recurrence run.
+        # The basis holds a_0..a_{n_max}, the prefix of a longer ratio sweep.
         for lam in (0.5, 2.0):
             basis_a = sobolev_basis(lam, n).a
-            assert np.array_equal(basis_a, connection_recurrence(lam, n + 1))
-            assert np.array_equal(basis_a, connection_recurrence(lam, n + 10)[: n + 1])
+            assert np.array_equal(basis_a, connection_ratio(lam, n + 1))
+            assert np.array_equal(basis_a, connection_ratio(lam, n + 10)[: n + 1])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -165,17 +165,18 @@ class TestConnectionSequence:
 
     @pytest.mark.parametrize("lam, n_max", [(1e-17, 20), (1e-15, 1000)])
     def test_lambda_too_small_for_double_precision(self, lam, n_max):
-        # 1 - a_n is O(lam): here some a_n rounds to 1, which is the caller's
-        # ValueError naming lam and n_max, not a broken recurrence.  The ratio
-        # sweep keeps every a_n below 1 unless a_0 = 1/(1 + 2 lam) itself rounds to 1.
-        message = rf"lambda={lam!r} is too small for n_max={n_max}: a_\d+ rounds to 1"
-        with pytest.raises(ValueError, match=message):
-            sobolev_basis(lam, n_max)
+        # 1 - a_n is O(lam).  The ratio sweep behind the basis keeps every a_n
+        # below 1 unless a_0 = 1/(1 + 2 lam) itself rounds to 1; then the caller
+        # gets a ValueError naming lam and n_max, not a broken recurrence.
         if 1.0 + 2.0 * lam == 1.0:
+            message = rf"lambda={lam!r} is too small for n_max={n_max}: a_0 rounds to 1"
+            with pytest.raises(ValueError, match=message):
+                sobolev_basis(lam, n_max)
             with pytest.raises(ValueError, match=message):
                 connection_ratio(lam, n_max + 1)
         else:
-            assert np.all(connection_ratio(lam, n_max + 1) < 1.0)
+            basis = sobolev_basis(lam, n_max)
+            assert basis.n_max == n_max and np.all(basis.a < 1.0)
 
     def test_smallest_lambdas_that_fit_double_precision(self):
         assert sobolev_basis(1e-14, 1000).n_max == 1000
@@ -283,6 +284,25 @@ class TestSobolevPolynomials:
 
 
 class TestSobolevNorms:
+    @pytest.mark.parametrize("lam", [1e-15, 1e-6, 1e-3, 1.0, 13.0, 1e3, 1e6, 1e200])
+    def test_basis_matches_mpmath(self, lam):
+        # Oracle: a_n from the alpha=1 Laguerre recurrence at -4 lam, s(n) from
+        # the norm recurrence s(n) = (n+1)(lam + (n+1)/2) - a_{n-1}^2 s(n-1),
+        # both in 50-digit arithmetic.
+        basis = sobolev_basis(lam, 1000)
+        with mpmath.workdps(50):
+            lm = mpmath.mpf(lam)
+            x = -4 * lm
+            lo, hi = mpmath.mpf(1), 2 - x
+            s = lm + mpmath.mpf(1) / 2
+            for n in range(1001):
+                if n:
+                    s = (n + 1) * (lm + mpmath.mpf(n + 1) / 2) - a**2 * s
+                    lo, hi = hi, ((2 * n + 2 - x) * hi - (n + 1) * lo) / (n + 1)
+                a = mpmath.mpf(n + 2) / (n + 1) * lo / hi
+                assert abs(basis.a[n] - a) <= 1e-15 * a
+                assert abs(basis.s[n] - s) <= 1e-15 * s
+
     def test_base_cases(self):
         assert sobolev_basis(1.0, 0).s[0] == 1.5
         assert sobolev_basis(3.7, 0).s[0] == pytest.approx(4.2)
@@ -354,6 +374,16 @@ class TestAlternatingSum:
     def test_two_terms(self):
         basis = sobolev_basis(1.0, 1)
         assert alternating_sum_check(basis, 1, 0.0) <= 1e-14
+
+    def test_shifted_connection_is_caught(self):
+        # The weights come from connection_recurrence, not from basis.a, so a
+        # basis whose a_0 is off by 1e-6 fails the identity.
+        good = sobolev_basis(1.0, 20)
+        a = good.a.copy()
+        a[0] += 1e-6
+        bad = SobolevBasis(lam=1.0, a=a, s=good.s)
+        assert alternating_sum_check(good, 5, 1.0) <= 1e-12
+        assert alternating_sum_check(bad, 5, 1.0) > 1e-10
 
     # L_40^{(1)}(-4 lam) leaves double range from lam ~ 1e9 on; the a_k do not.
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 1e9, 1e100, 1e200])

@@ -256,13 +256,13 @@ class TestTableReuse:
 
     def test_rows_are_computed_once_per_node_set(self, monkeypatch):
         computed = []
-        recur = laguerre._recur
+        table = laguerre._table
 
-        def counting(rows, xf, alpha, k):
-            computed.append(len(rows) - 1 - k)
-            recur(rows, xf, alpha, k)
+        def counting(alpha, n_max, xf):
+            computed.append(n_max)
+            return table(alpha, n_max, xf)
 
-        monkeypatch.setattr(laguerre, "_recur", counting)
+        monkeypatch.setattr(laguerre, "_table", counting)
         solve(builtin_problem("exp-decay"), 100)
         # Four rule sizes, 101 rows each at most.
         assert 0 < sum(computed) <= 4 * 101
@@ -273,18 +273,18 @@ class TestTableReuse:
     @pytest.mark.parametrize("n_max", [100, 200])
     def test_a_cold_solve_maps_each_node_set_once(self, monkeypatch, n_max):
         maps, computed = [], []
-        recur = laguerre._recur
+        table = laguerre._table
 
         def counting_mmap(fileno, length):
             maps.append(length)
             return mmap.mmap(fileno, length)
 
-        def counting_recur(rows, xf, alpha, k):
-            computed.append(len(rows) - 1 - k)
-            recur(rows, xf, alpha, k)
+        def counting_table(alpha, n, xf):
+            computed.append(n)
+            return table(alpha, n, xf)
 
         monkeypatch.setattr(laguerre, "mmap", types.SimpleNamespace(mmap=counting_mmap, PAGESIZE=mmap.PAGESIZE))
-        monkeypatch.setattr(laguerre, "_recur", counting_recur)
+        monkeypatch.setattr(laguerre, "_table", counting_table)
         solve(builtin_problem("exp-decay"), n_max)
         tables = list(laguerre._TABLES._entries.values())
         assert len(tables) == 4

@@ -144,9 +144,10 @@ def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
 
 
 def _connect(a, table: np.ndarray) -> np.ndarray:
-    """S_k = T_k - a_{k-1} S_{k-1} down the rows of table T, in place with one reused
-    row buffer: the values S_k from the L_k^{(1)} table, the derivatives S_k' from
-    the rows [0, -L_0^{(2)}, ..., -L_{n-1}^{(2)}], since L_k^{(1)}' = -L_{k-1}^{(2)}."""
+    """S_k = T_k - a_{k-1} S_{k-1} down the rows of T (a table, a vector or a reversed
+    view), in place with one reused row buffer: the package's one connection recursion.
+    It gives S_k from the L_k^{(1)} table, S_k' from [0, -L_0^{(2)}, ..., -L_{n-1}^{(2)}],
+    S_k's monomial coefficients, solve's fhat from g and partial_sum_deriv's c."""
     rows = iter(table.reshape(table.shape[0], -1))
     prev = next(rows)
     tmp = np.empty_like(prev)
@@ -165,14 +166,13 @@ def sobolev_eval_all(basis: SobolevBasis, n: int, x):
 
 
 def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:
-    """S_n as a numpy Polynomial; degree capped as in laguerre_coeffs."""
+    """S_n as a numpy Polynomial: row n of the connection run on the zero-padded
+    L_k^{(1)} coefficient table.  Degree capped as in laguerre_coeffs."""
     n = _check_order("n", n, hi=basis.n_max)
-    coeffs = np.array([1.0])
-    for k in range(1, n + 1):
-        new = laguerre_coeffs(_L1, k).coef
-        new[: coeffs.size] -= basis.a[k - 1] * coeffs
-        coeffs = new
-    return np.polynomial.Polynomial(coeffs)
+    table = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        table[k, : k + 1] = laguerre_coeffs(_L1, k).coef
+    return np.polynomial.Polynomial(_connect(basis.a, table)[n])
 
 
 def alternating_sum_check(basis: SobolevBasis, n: int, x: float) -> float:

@@ -31,7 +31,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_plain,
 )
-from .sobolev import SobolevBasis, sobolev_basis, sobolev_eval_all
+from .sobolev import SobolevBasis, _connect, sobolev_basis, sobolev_eval_all
 
 __all__ = [
     "BVProblem",
@@ -89,21 +89,16 @@ class SpectralSolution:
         return all(r.converged for r in self.quad_report)
 
 
-def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
-    """Compute the expansion coefficients uhat_0..uhat_{n_max}.
+def _moments(rhs: Callable, n_max: int):
+    """The lam-free moments g(0)..g(n_max) of rhs; returns (g, report, rhs evaluations).
 
     Each g(n) integral adapts its rule size independently under the one
     policy of quadrature.integrate_adaptive; non-convergence at the cap is
-    recorded in quad_report, not raised.  Only non-finite integrand
-    values abort.  The g(n) are independent, so they are computed from
-    n_max down: the first Laguerre table on each rule's nodes is then the
-    deepest the solve needs, stored once, and every later index reads a
-    prefix of it.
+    recorded in the report, not raised.  Only non-finite integrand values
+    abort.  The g(n) are independent, so they are computed from n_max down:
+    the first Laguerre table on each rule's nodes is then the deepest the
+    stage needs, stored once, and every later index reads a prefix of it.
     """
-    n_max = _check_order("n_max", n_max)
-    basis = sobolev_basis(problem.lam, n_max)
-    rhs = problem.rhs
-
     evals = 0
 
     def counted_rhs(x):
@@ -127,19 +122,22 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
             res = integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
             g[n] = res.value
             report[n] = res
+    return g, report, evals
 
-    fhat = np.empty(n_max + 1)
-    fhat[0] = g[0]
-    for n in range(1, n_max + 1):
-        fhat[n] = g[n] - basis.a[n - 1] * fhat[n - 1]
-    uhat = fhat / basis.s
 
+def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
+    """Coefficients uhat_0..uhat_{n_max}: the lam-free moments g of _moments, then the
+    basis's connection fhat(n) = g(n) - a_{n-1} fhat(n-1) and uhat = fhat / s."""
+    n_max = _check_order("n_max", n_max)
+    basis = sobolev_basis(problem.lam, n_max)
+    g, report, evals = _moments(problem.rhs, n_max)
+    fhat = _connect(basis.a, g.copy())
     return SpectralSolution(
         basis=basis,
         n_max=n_max,
         g=g,
         fhat=fhat,
-        uhat=uhat,
+        uhat=fhat / basis.s,
         quad_report=report,
         problem=problem,
         integrand_evals=evals,
@@ -196,15 +194,13 @@ def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     c_k = uhat_k - a_k c_{k+1}.  With L_k^{(1)}' = -L_{k-1}^{(2)} and
     L_{k-1}^{(2)} = sum_{j<k} L_j^{(1)} this makes
     sum_k uhat_k S_k' = sum_j C_j L_j^{(1)} with C_j = -sum_{k>j} c_k.  One
-    scalar sweep, one reversed cumsum and one two-column Clenshaw sweep, so no
-    (n+1) x len(x) table and no L^{(2)} is formed.
+    connection sweep on the reversed c, one reversed cumsum and one two-column
+    Clenshaw sweep: no (n+1) x len(x) table and no L^{(2)} is formed.
     """
     n = _check_order("n", n, hi=sol.n_max)
     xa = _check_finite_scalar_or_array(x)
-    a = sol.basis.a
     c = sol.uhat[: n + 1].copy()
-    for k in range(n - 1, -1, -1):
-        c[k] -= a[k] * c[k + 1]
+    _connect(sol.basis.a[:n][::-1], c[::-1])
     tail = np.zeros_like(c)
     tail[:-1] = -np.cumsum(c[:0:-1])[::-1]
     s, ds = _clenshaw(np.column_stack([c, tail]), xa)

@@ -96,10 +96,10 @@ def _suite_quadrature(lam):
     return worst <= 1e-9, f"max moment error {worst:.2e} (tol 1e-9)"
 
 
-def _gram_errors(gram, norms):
-    """(max relative error of the diagonal against norms, max |off-diagonal|) of a Gram matrix."""
+def _gram_errors(gram, norms, scale=1.0):
+    """(max relative error of the diagonal against norms, max |off-diagonal| / scale) of a Gram matrix."""
     diag = np.diag(gram)
-    return float(np.max(np.abs(diag - norms) / norms)), float(np.max(np.abs(gram - np.diag(diag))))
+    return float(np.max(np.abs(diag - norms) / norms)), float(np.max(np.abs(gram - np.diag(diag)) / scale))
 
 
 def _suite_gram_laguerre(lam):
@@ -140,10 +140,12 @@ def _sobolev_gram(basis, m: int) -> np.ndarray:
 
 
 def _suite_sobolev_gram(lam):
+    # Each <S_i, S_j>_S is bounded relative to sqrt(s(i) s(j)), which grows with lam.
     basis = sobolev_basis(lam, 10)
-    diag_err, off_max = _gram_errors(_sobolev_gram(basis, 12), basis.s)
-    ok = off_max <= 1e-9 and diag_err <= 1e-10
-    return ok, f"max off-diagonal {off_max:.2e} (tol 1e-9), diag rel err {diag_err:.2e} (tol 1e-10)"
+    root = np.sqrt(basis.s)
+    diag_err, off_rel = _gram_errors(_sobolev_gram(basis, 12), basis.s, np.outer(root, root))
+    ok = off_rel <= 8e-14 and diag_err <= 1e-10
+    return ok, f"max off-diagonal rel {off_rel:.2e} (tol 8e-14), diag rel err {diag_err:.2e} (tol 1e-10)"
 
 
 def _suite_alternating_sum(lam):

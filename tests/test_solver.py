@@ -34,9 +34,10 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
-from lagsob import laguerre
+from lagsob import laguerre, laguerre_coeffs, sobolev_coeffs
 from lagsob.quadrature import M0
-from lagsob.solver import _clenshaw
+from lagsob.sobolev import _connect
+from lagsob.solver import _clenshaw, _moments
 
 # ||u||^2 - cumulative Parseval sums for exp-decay, lam=1, n = 0..20 (exact).
 EPS_EXP_DECAY = [
@@ -243,6 +244,44 @@ class TestSolve:
     def test_rejects_nonfinite_rhs(self):
         with pytest.raises(ValueError, match="node"):
             solve(BVProblem(lam=1.0, rhs=lambda x: np.full_like(x, np.nan)), n_max=0)
+
+
+class TestMoments:
+    """solver._moments: the lam-free stage g(n) = int f L_n^{(1)} x e^{-x/2} dx of solve."""
+
+    def test_one_moment_stage_serves_every_lambda(self):
+        rhs = builtin_problem("exp-decay").rhs
+        points = 0
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return rhs(x)
+
+        g, report, evals = _moments(counted, 20)
+        assert points == evals == 7264
+        for lam in (1e-3, 1.0, 1e3):
+            basis = sobolev_basis(lam, 20)
+            sol = solve(BVProblem(lam=lam, rhs=rhs), n_max=20)
+            assert np.array_equal(sol.g, g)
+            assert sol.quad_report == report and sol.integrand_evals == evals
+            assert np.array_equal(_connect(basis.a, g.copy()) / basis.s, sol.uhat)
+
+    @pytest.fixture(scope="class")
+    def exp_moments(self):
+        return _moments(builtin_problem("exp-decay").rhs, 100)[0]
+
+    @pytest.mark.parametrize("n", [7, 61, 100])
+    def test_exp_decay_moments_match_mpmath_oracle(self, exp_moments, n):
+        # The quad_report of n = 100 reads unconverged (8.0e-6) although g(100)
+        # is accurate, so only the value is checked.
+        with mpmath.workdps(40):
+            def integrand(x):
+                f = mpmath.exp(-x) * (3 * mpmath.cos(x) - 2 * (x - 1) * mpmath.sin(x))
+                return f * _mp_laguerre_all(1, n, x)[n] * x * mpmath.exp(-x / 2)
+
+            ref = mpmath.quad(integrand, [mpmath.mpf(int(b)) for b in np.linspace(0, 120, 13)] + [mpmath.inf])
+        assert abs(exp_moments[n] - float(ref)) <= 1e-12
 
 
 class TestTableReuse:
@@ -688,6 +727,45 @@ class TestClenshawKernel:
         assert got.shape == out.shape
         assert np.array_equal(got, out, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(out))
+
+    @pytest.mark.parametrize("lam", [1e-15, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [0, 1, 20, 200])
+    def test_connection_on_the_moment_vector_is_fhat_bit_for_bit(self, solution_200, lam, n):
+        # solve's fhat(n) = g(n) - a_{n-1} fhat(n-1), as one Python-float loop.
+        a, g = sobolev_basis(lam, 200).a, solution_200.g[: n + 1]
+        ref = [g[0]]
+        for k in range(1, n + 1):
+            ref.append(g[k] - a[k - 1] * ref[-1])
+        assert np.array_equal(_connect(a, g.copy()), ref)
+        if lam == 1.0 and n == 200:
+            assert np.array_equal(solution_200.fhat, ref)
+
+    @pytest.mark.parametrize("lam", [1e-15, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 20, 200])
+    def test_connection_on_the_reversed_vector_is_c_bit_for_bit(self, lam, n):
+        # partial_sum_deriv's c_n = uhat_n, c_k = uhat_k - a_k c_{k+1}, run backwards.
+        a = sobolev_basis(lam, 200).a
+        uhat = np.random.default_rng([n, 3]).standard_normal(n + 1)
+        ref = uhat.copy()
+        for k in range(n - 1, -1, -1):
+            ref[k] -= a[k] * ref[k + 1]
+        got = uhat.copy()
+        _connect(a[:n][::-1], got[::-1])
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("lam", [1e-15, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 170])
+    def test_connection_on_the_padded_monomial_table_is_sobolev_coeffs_bit_for_bit(self, lam, n):
+        # Reference: each S_k from the shorter coefficient vector of S_{k-1}.
+        basis = sobolev_basis(lam, 200)
+        ref = np.array([1.0])
+        for k in range(1, n + 1):
+            new = laguerre_coeffs(LaguerreFamily(1.0), k).coef
+            new[: ref.size] -= basis.a[k - 1] * ref
+            ref = new
+        got = sobolev_coeffs(basis, n).coef
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestEvaluationMemory:

@@ -2,8 +2,9 @@
 
 Both identities sum products of polynomial values against powers of omega and
 collapse to a closed form involving a Bessel function of the first kind.  The
-truncated series and the closed forms agree to around machine precision well
-inside the convergence disc.
+Sobolev closed form is the classical (Hardy-Hille) one at alpha = 1 and
+y = -4 lam, divided by 1 + omega.  The truncated series and the closed forms
+agree to around machine precision well inside the convergence disc.
 """
 
 from lagsob import gen_fun_sobolev, hardy_hille_check, sobolev_basis

@@ -26,6 +26,7 @@ from lagsob import (
     sobolev_coeffs,
     sobolev_eval_all,
 )
+from lagsob.sobolev import _bilinear_closed_form
 from lagsob.validation import _sobolev_gram
 
 
@@ -424,17 +425,16 @@ class TestGeneratingFunctions:
         assert lhs == pytest.approx(1.0, abs=1e-7)
         assert rhs == pytest.approx(1.0, abs=1e-7)
 
-    @pytest.mark.parametrize(
-        "alpha,x,y,omega",
-        [
-            (1.0, 1.0, 1.0, -0.25),
-            (0.0, 1.0, 2.0, -0.4),
-            (1.0, 3.0, 0.5, -0.6),
-            (2.0, 2.0, 2.0, -0.1),
-            (0.5, 1.0, 1.0, -0.5),
-            (1.0, 5.0, 4.0, -0.3),
-        ],
-    )
+    HARDY_HILLE_POINTS = [
+        (1.0, 1.0, 1.0, -0.25),
+        (0.0, 1.0, 2.0, -0.4),
+        (1.0, 3.0, 0.5, -0.6),
+        (2.0, 2.0, 2.0, -0.1),
+        (0.5, 1.0, 1.0, -0.5),
+        (1.0, 5.0, 4.0, -0.3),
+    ]
+
+    @pytest.mark.parametrize("alpha,x,y,omega", HARDY_HILLE_POINTS)
     def test_hardy_hille_matches_closed_form(self, alpha, x, y, omega):
         lhs, rhs = hardy_hille_check(alpha, x, y, omega, 400)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
@@ -444,3 +444,48 @@ class TestGeneratingFunctions:
             hardy_hille_check(1.0, 1.0, 1.0, 0.3, 50)
         with pytest.raises(ValueError):
             hardy_hille_check(1.0, 1.0, 1.0, -1.0, 50)
+        # LaguerreFamily admits alpha in (-1, 0); J_alpha here does not.
+        with pytest.raises(ValueError, match="alpha"):
+            hardy_hille_check(-0.5, 1.0, 1.0, -0.5, 10)
+
+    # Both branches: the Hardy-Hille points (y > 0, w < 0) and the Sobolev
+    # generating function's (alpha, y) = (1, -4 lam) at validate's (x, w), w > 0.
+    @pytest.mark.parametrize(
+        "alpha,x,y,omega",
+        HARDY_HILLE_POINTS
+        + [(1.0, x, -4.0 * lam, omega)
+           for lam in (1e-3, 1.0, 10.0)
+           for x, omega in [(1.0, 0.3), (2.0, 0.5), (0.5, 0.7), (1.5, 0.2)]],
+    )
+    def test_closed_form_matches_mpmath(self, alpha, x, y, omega):
+        with mpmath.workdps(40):
+            a, xm, ym, w = (mpmath.mpf(v) for v in (alpha, x, y, omega))
+            prod = -xm * ym * w
+            ref = (mpmath.gamma(a + 1) / (1 - w) * mpmath.exp(-(xm + ym) * w / (1 - w))
+                   * prod ** (-a / 2) * mpmath.besselj(a, 2 * mpmath.sqrt(prod) / (1 - w)))
+        got = _bilinear_closed_form(alpha, x, y, omega)
+        assert abs(got - float(ref)) <= 1e-14 * abs(float(ref))
+
+    @pytest.mark.parametrize("alpha,x,y,omega", HARDY_HILLE_POINTS)
+    def test_hardy_hille_series_matches_mpmath(self, alpha, x, y, omega):
+        # The same 401 terms in 40 digits: Laguerre values by their recurrence,
+        # weights binom(k+alpha, k)^{-1} w^k term by term.
+        with mpmath.workdps(40):
+            a, xm, ym, w = (mpmath.mpf(v) for v in (alpha, x, y, omega))
+            lx, ly = [mpmath.mpf(1), 1 + a - xm], [mpmath.mpf(1), 1 + a - ym]
+            for k in range(1, 400):
+                lx.append(((2 * k + 1 + a - xm) * lx[k] - (k + a) * lx[k - 1]) / (k + 1))
+                ly.append(((2 * k + 1 + a - ym) * ly[k] - (k + a) * ly[k - 1]) / (k + 1))
+            ref = float(mpmath.fsum(w**k * mpmath.binomial(k + a, k) ** -1 * lx[k] * ly[k]
+                                    for k in range(401)))
+        lhs, _ = hardy_hille_check(alpha, x, y, omega, 400)
+        assert abs(lhs - ref) <= 1e-14 * abs(ref)
+
+    def test_sobolev_closed_form_is_hardy_hille_at_minus_four_lam(self):
+        # Both sides come back as Python floats, and the Sobolev closed form is
+        # the alpha = 1 bilinear one at y = -4 lam over 1 + w, bit for bit.
+        basis = sobolev_basis(2.0, 60)
+        lhs, rhs = gen_fun_sobolev(basis, 1.5, 0.2, 60)
+        assert type(lhs) is type(rhs) is float
+        assert rhs == _bilinear_closed_form(1.0, 1.5, -8.0, 0.2) / 1.2
+        assert all(type(v) is float for v in hardy_hille_check(0.5, 1.0, 1.0, -0.5, 40))

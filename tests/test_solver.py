@@ -730,6 +730,20 @@ class TestClenshawKernel:
 
     @pytest.mark.parametrize("lam", [1e-15, 1.0, 1e3])
     @pytest.mark.parametrize("n", [0, 1, 20, 200])
+    def test_one_column_and_row_loops_agree_bit_for_bit(self, lam, n):
+        # A scalar and a one-point array take the Python-float loop, a wide grid the row loop.
+        basis = sobolev_basis(lam, 200)
+        x = np.linspace(0.0, 500.0, 41)
+        wide = sobolev_eval_all(basis, n, x)
+        for j in (0, 1, 7, 40):
+            scalar = sobolev_eval_all(basis, n, float(x[j]))
+            point = sobolev_eval_all(basis, n, x[j : j + 1])
+            assert scalar.shape == (n + 1,) and point.shape == (n + 1, 1)
+            assert np.array_equal(scalar, wide[:, j]) and np.array_equal(point[:, 0], wide[:, j])
+            assert np.array_equal(np.signbit(scalar), np.signbit(wide[:, j]))
+
+    @pytest.mark.parametrize("lam", [1e-15, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [0, 1, 20, 200])
     def test_connection_on_the_moment_vector_is_fhat_bit_for_bit(self, solution_200, lam, n):
         # solve's fhat(n) = g(n) - a_{n-1} fhat(n-1), as one Python-float loop.
         a, g = sobolev_basis(lam, 200).a, solution_200.g[: n + 1]

@@ -46,13 +46,15 @@ class LaguerreFamily:
 
 def _check_finite_scalar_or_array(x):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("evaluation point must be finite")
     return arr
 
 
 def _check_order(name: str, n, lo: int = 0, hi: float = float("inf")) -> int:
     """n as an int; a bool, a non-integer or a value outside [lo, hi] raises ValueError."""
+    if type(n) is int and lo <= n <= hi:  # the common case, without the ABC check
+        return n
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not lo <= n <= hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
     return int(n)

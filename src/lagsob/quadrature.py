@@ -143,18 +143,19 @@ def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:
 def _vectorised(f: Callable, x) -> np.ndarray:
     """f at every point of x: one call on the whole array, its result broadcast to
     x's shape, or one call per point if that fails (a scalar-only f)."""
+    shape = np.shape(x)
     try:
         vals = np.asarray(f(x), dtype=float)
-        return vals if vals.shape == np.shape(x) else np.broadcast_to(vals, np.shape(x))
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape)
     except (TypeError, ValueError):
-        return np.array([float(f(float(t))) for t in np.ravel(x)]).reshape(np.shape(x))
+        return np.array([float(f(float(t))) for t in np.ravel(x)]).reshape(shape)
 
 
 def _eval_on_nodes(g: Callable, nodes: np.ndarray) -> np.ndarray:
     vals = _vectorised(g, nodes)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise ValueError(f"integrand returned {float(vals[i])!r} at node x={float(nodes[i])!r}")
     return vals
 

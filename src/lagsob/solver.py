@@ -16,6 +16,7 @@ data genuinely saturates the cap (and the method's accuracy degrades with it).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -109,17 +110,23 @@ def _moments(rhs: Callable, n_max: int):
         evals += np.size(x)
         return fx
 
+    def integrand(t):
+        # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.  Only rhs
+        # falls back to per-node calls; 4 f L_n is formed on row n (the loop's index) of a fresh table.
+        x = 2.0 * t
+        fx = _vectorised(counted_rhs, x)
+        row = laguerre_eval_all(_L1, n, x)[n]
+        row *= fx
+        row *= 4.0
+        return row
+
+    rule = functools.cache(lambda m: gauss_laguerre(1.0, m))  # one lookup per size and stage
     g = np.empty(n_max + 1)
     report = [None] * (n_max + 1)
-    # The integrator's finiteness check refuses, and names, a node where h overflows.
+    # The integrator's finiteness check refuses, and names, a node where the integrand overflows.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_max, -1, -1):
-            # Only rhs falls back to per-node calls; the table is built once per rule.
-            def h(x, n=n):
-                return _vectorised(counted_rhs, x) * laguerre_eval_all(_L1, n, x)[n]
-
-            # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.
-            res = integrate_adaptive(lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * h(2.0 * t)))
+            res = integrate_adaptive(lambda m: integrate(rule(m), integrand))
             g[n] = res.value
             report[n] = res
     return g, report, evals

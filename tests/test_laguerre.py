@@ -33,7 +33,7 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
-from lagsob.laguerre import _CACHE_MAX_POINTS, _TABLES, _check_order
+from lagsob.laguerre import _CACHE_MAX_POINTS, _TABLES, COEFF_MODE_MAX_DEGREE, _check_order
 from lagsob.quadrature import M_MAX
 
 GRID = np.linspace(-10.0, 40.0, 50)
@@ -356,9 +356,19 @@ ORDER_CALLS = {
     "gauss_laguerre": ("rule size m", 1, lambda m: gauss_laguerre(1.0, m).nodes),
 }
 
+# The finite upper bound of every order argument above that has one.
+ORDER_HI = {
+    "laguerre_coeffs": COEFF_MODE_MAX_DEGREE,
+    "sobolev_eval_all": _BASIS.n_max,
+    "sobolev_coeffs": _BASIS.n_max,
+    "alternating_sum_check": _BASIS.n_max,
+    "gen_fun_sobolev": _BASIS.n_max,
+    "gauss_laguerre": M_MAX,
+}
+
 
 class TestOrderCheck:
-    """One check for every order: bools, floats and values below range are refused by name."""
+    """One check for every order: bools, floats and values out of range are refused by name."""
 
     @pytest.mark.parametrize("name", ORDER_CALLS)
     @pytest.mark.parametrize(
@@ -370,6 +380,14 @@ class TestOrderCheck:
             bad = lo - 1
         with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer in [{lo}, ")):
             call(bad)
+
+    @pytest.mark.parametrize("name", ORDER_HI)
+    def test_above_range_refused_by_name(self, name):
+        arg, lo, call = ORDER_CALLS[name]
+        hi = ORDER_HI[name]
+        call(hi)
+        with pytest.raises(ValueError, match=re.escape(f"{arg} must be an integer in [{lo}, {hi}], got {hi + 1}")):
+            call(hi + 1)
 
     @pytest.mark.parametrize("name", ORDER_CALLS)
     def test_numpy_integers_match_int(self, name):

@@ -6,6 +6,7 @@ numbers below carry no quadrature error of their own.
 """
 
 import dataclasses
+import gc
 import math
 import mmap
 import threading
@@ -25,6 +26,7 @@ from lagsob import (
     builtin_problem,
     gauss_laguerre,
     integrate,
+    integrate_adaptive,
     laguerre_eval_all,
     partial_sum,
     partial_sum_deriv,
@@ -37,7 +39,7 @@ from lagsob import (
 from lagsob import laguerre, laguerre_coeffs, sobolev_coeffs
 from lagsob.quadrature import M0
 from lagsob.sobolev import _connect
-from lagsob.solver import _clenshaw, _moments
+from lagsob.solver import _L1, _clenshaw, _moments
 
 # ||u||^2 - cumulative Parseval sums for exp-decay, lam=1, n = 0..20 (exact).
 EPS_EXP_DECAY = [
@@ -267,6 +269,21 @@ class TestMoments:
             assert sol.quad_report == report and sol.integrand_evals == evals
             assert np.array_equal(_connect(basis.a, g.copy()) / basis.s, sol.uhat)
 
+    @pytest.mark.parametrize(
+        "rhs",
+        [builtin_problem("exp-decay").rhs, builtin_problem("rational-decay").rhs, lambda x: math.exp(-x)],
+        ids=["exp-decay", "rational-decay", "scalar-only"],
+    )
+    def test_each_moment_is_the_one_line_integral_bit_for_bit(self, rhs):
+        # The stage forms 4 f(2t) L_n(2t) in place on a fresh table row; this
+        # reference builds the same product the plain way, one closure per attempt.
+        g, report, _ = _moments(rhs, 100)
+        for n in (0, 20, 100):
+            ref = integrate_adaptive(
+                lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * rhs(2.0 * t) * laguerre_eval_all(_L1, n, 2.0 * t)[n])
+            )
+            assert g[n] == ref.value and report[n] == ref
+
     @pytest.fixture(scope="class")
     def exp_moments(self):
         return _moments(builtin_problem("exp-decay").rhs, 100)[0]
@@ -346,6 +363,26 @@ class TestTableReuse:
         entries = [(key, id(table)) for key, table in cache._entries.items()]
         laguerre_eval_all(LaguerreFamily(1.0), 237, np.linspace(0.0, 50.0, 20_000))
         assert [(key, id(table)) for key, table in cache._entries.items()] == entries
+
+    def test_a_warm_solve_retains_nothing(self):
+        # Long-lived heap arrays shift the page faults of every later caller, so
+        # the moment stage keeps no memo or buffer beyond its own call.
+        problem = builtin_problem("exp-decay")
+
+        def solve_all():
+            for n in (20, 100, 200):
+                sobolev_error(solve(problem, n), n)
+
+        solve_all()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            solve_all()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1024
 
     def test_threads_match_a_serial_solve(self):
         names = ("exp-decay", "rational-decay")

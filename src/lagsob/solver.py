@@ -166,52 +166,49 @@ def partial_sum(sol: SpectralSolution, n: int, x):
 
 
 def _clenshaw(c, x):
-    """Columns of sum_k c[k] L_k^{(1)}(x), one backward Clenshaw sweep for all of them.
+    """sum_k c[k] L_k(x) (alpha = 0), one backward Clenshaw sweep on one vector.
 
-    c has shape (n+1, r); the result has shape (r,) + x.shape.  For alpha = 1
-    the sweep b_k = c_k + ((2k+2-x)/(k+1)) b_{k+1} - b_{k+2} sums to b_0.  It
-    carries d_k = b_k - b_{k+1} beside b_k (Reinsch's form):
+    The sweep b_k = c_k + ((2k+1-x)/(k+1)) b_{k+1} - ((k+1)/(k+2)) b_{k+2}
+    sums to b_0.  It carries d_k = b_k - b_{k+1} beside b_k (Reinsch's form):
 
-        d_k = c_k + d_{k+1} - x b_{k+1} / (k+1),    b_k = b_{k+1} + d_k,
+        d_k = c_k + ((k+1)/(k+2)) d_{k+1} - (x + 1/(k+2)) b_{k+1} / (k+1),
+        b_k = b_{k+1} + d_k,
 
-    five in-place operations per step.  Near x = 0 the three-term form
-    multiplies b_{k+1} by a factor close to 2 and errs by up to ~3e-13 of the
-    sum's scale at n = 200; here the factor on b_{k+1} is small there.
-    Memory is three r x len(x) arrays.
+    seven in-place operations per step on three arrays of x's shape.  Near x = 0
+    the three-term form multiplies b_{k+1} by a factor close to 2 and errs by
+    up to ~7e-13 of the sum's scale at n = 200; here that factor is small.
     """
-    xf = x.reshape(-1)
-    b = np.zeros((c.shape[1], xf.size))
-    d = np.zeros_like(b)
-    t = np.empty_like(b)
-    for k, ck in zip(range(len(c) - 1, -1, -1), c[::-1, :, None]):
-        np.multiply(xf, b, out=t)
+    b, d, t = (np.zeros_like(x) for _ in range(3))
+    for k, ck in zip(range(len(c) - 1, -1, -1), c[::-1].tolist()):
+        np.add(x, 1.0 / (k + 2), out=t)
+        t *= b
         t /= k + 1
+        d *= (k + 1.0) / (k + 2)
         d -= t
         d += ck
         b += d
-    return b.reshape(c.shape[1:] + x.shape)
+    return b
 
 
 def partial_sum_deriv(sol: SpectralSolution, n: int, x):
-    """Derivative of the order-n approximant.
+    """Derivative of the order-n approximant, as one L^{(0)} series.
 
-    [S_k(x) x e^{-x/2}]' = [S_k(x)(1 - x/2) + x S_k'(x)] e^{-x/2}.  The
-    connection L_k^{(1)} = S_k + a_{k-1} S_{k-1}, read backwards, gives
+    The connection L_k^{(1)} = S_k + a_{k-1} S_{k-1}, read backwards, gives
     sum_k uhat_k S_k = sum_k c_k L_k^{(1)} with c_n = uhat_n and
-    c_k = uhat_k - a_k c_{k+1}.  With L_k^{(1)}' = -L_{k-1}^{(2)} and
-    L_{k-1}^{(2)} = sum_{j<k} L_j^{(1)} this makes
-    sum_k uhat_k S_k' = sum_j C_j L_j^{(1)} with C_j = -sum_{k>j} c_k.  One
-    connection sweep on the reversed c, one reversed cumsum and one two-column
-    Clenshaw sweep: no (n+1) x len(x) table and no L^{(2)} is formed.
+    c_k = uhat_k - a_k c_{k+1}.  With x L_k^{(1)} = (k+1)(L_k - L_{k+1}) and
+    L_j' = -sum_{i<j} L_i (L = L^{(0)}) the derivative of
+    x e^{-x/2} sum_k c_k L_k^{(1)} telescopes to e^{-x/2} sum_{i<=n+1} h_i L_i
+    with h_i = ((i+1) c_i + i c_{i-1}) / 2, c_{-1} = c_{n+1} = 0: one connection
+    sweep on the reversed c and one Clenshaw sweep, and no (n+1) x len(x) table.
     """
     n = _check_order("n", n, hi=sol.n_max)
     xa = _check_finite_scalar_or_array(x)
     c = sol.uhat[: n + 1].copy()
     _connect(sol.basis.a[:n][::-1], c[::-1])
-    tail = np.zeros_like(c)
-    tail[:-1] = -np.cumsum(c[:0:-1])[::-1]
-    s, ds = _clenshaw(np.column_stack([c, tail]), xa)
-    out = (s * (1.0 - xa / 2.0) + ds * xa) * np.exp(-xa / 2.0)
+    c *= np.arange(1, n + 2) / 2.0
+    h = np.append(c, 0.0)
+    h[1:] += c
+    out = _clenshaw(h, xa) * np.exp(-xa / 2.0)
     return float(out) if np.ndim(x) == 0 else out
 
 

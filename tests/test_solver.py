@@ -129,8 +129,8 @@ def oracle_deriv(basis, uhat, n, x):
 
 
 def reference_clenshaw(alpha, c, x):
-    """The general-alpha Reinsch sweep for sum_k c_k L_k^{(alpha)}(x); at alpha = 1 it is
-    the bit reference for every column of solver._clenshaw."""
+    """The general-alpha Reinsch sweep for sum_k c_k L_k^{(alpha)}(x); at alpha = 0 it is
+    the bit reference for solver._clenshaw."""
     b = np.zeros_like(x)
     d = np.zeros_like(x)
     for k in range(len(c) - 1, -1, -1):
@@ -144,12 +144,11 @@ def reference_clenshaw(alpha, c, x):
     return b
 
 
-def oracle_laguerre_sums(c, x):
-    """sum_k c[k, j] L_k^{(1)}(x) for every column j, in 40-digit arithmetic."""
+def oracle_laguerre_sums(alpha, c, x):
+    """sum_k c[k] L_k^{(alpha)}(x) in 40-digit arithmetic."""
     with mpmath.workdps(40):
-        lag = _mp_laguerre_all(1, len(c) - 1, mpmath.mpf(float(x)))
-        return [float(mpmath.fsum(mpmath.mpf(float(ck)) * lk for ck, lk in zip(col, lag)))
-                for col in c.T]
+        lag = _mp_laguerre_all(alpha, len(c) - 1, mpmath.mpf(float(x)))
+        return float(mpmath.fsum(mpmath.mpf(float(ck)) * lk for ck, lk in zip(c, lag)))
 
 
 def traced_peak_bytes(fn, *args):
@@ -707,43 +706,61 @@ class TestDerivativeAgainstReference:
 
 
 class TestClenshawKernel:
-    """solver._clenshaw: several coefficient columns in one alpha = 1 sweep."""
+    """solver._clenshaw: one coefficient vector in one alpha = 0 sweep."""
 
     X = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 500.0])
 
     @pytest.mark.parametrize("n", [0, 1, 20, 200])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_columns_match_mpmath_oracle(self, n, seed):
-        c = np.random.default_rng([n, seed]).standard_normal((n + 1, 2))
+    def test_matches_mpmath_oracle(self, n, seed):
+        c = np.random.default_rng([n, seed]).standard_normal(n + 1)
         got = _clenshaw(c, self.X)
-        ref = np.array([oracle_laguerre_sums(c, xi) for xi in self.X]).T
-        assert got.shape == ref.shape == (2, self.X.size)
+        ref = np.array([oracle_laguerre_sums(0, c, xi) for xi in self.X])
+        assert got.shape == ref.shape == self.X.shape
         near = self.X <= 1.0
-        for g, r in zip(got, ref):
-            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
-            assert np.max(np.abs(g[near] - r[near])) <= 1e-14 * np.max(np.abs(r[near]))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(got[near] - ref[near])) <= 1e-14 * np.max(np.abs(ref[near]))
 
     @pytest.mark.parametrize("n", [0, 1, 20, 200, 237])
-    @pytest.mark.parametrize("columns", [1, 2, 3])
-    def test_every_column_is_the_general_alpha_1_sweep_bit_for_bit(self, n, columns):
-        c = np.random.default_rng([n, columns]).standard_normal((n + 1, columns))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_is_the_general_alpha_0_sweep_bit_for_bit(self, n, seed):
+        c = np.random.default_rng([n, seed]).standard_normal(n + 1)
         x = np.concatenate([self.X, np.linspace(0.0, 1000.0, 4001)])
         with np.errstate(over="ignore", invalid="ignore"):
             got = _clenshaw(c, x)
-            for j in range(columns):
-                assert np.array_equal(got[j], reference_clenshaw(1.0, c[:, j], x), equal_nan=True)
+            assert np.array_equal(got, reference_clenshaw(0.0, c, x), equal_nan=True)
 
     @pytest.mark.parametrize(
         "x", [3.7, np.linspace(0.0, 40.0, 7), np.linspace(0.0, 500.0, 15).reshape(3, 5)],
         ids=["0-d", "1-d", "2-d"],
     )
-    def test_shape_is_columns_then_points(self, x):
+    def test_shape_is_the_points_shape(self, x):
         x = np.asarray(x)
-        c = np.random.default_rng(5).standard_normal((21, 2))
+        c = np.random.default_rng(5).standard_normal(21)
         got = _clenshaw(c, x)
-        assert got.shape == (2,) + x.shape
-        for j in range(2):
-            assert np.array_equal(got[j], reference_clenshaw(1.0, c[:, j], x))
+        assert got.shape == x.shape
+        assert np.array_equal(got, reference_clenshaw(0.0, c, x))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 20])
+    def test_one_l0_series_is_the_derivative_of_the_expansion(self, n):
+        # Independent of S_k' and of the library: with h_i = ((i+1) c_i + i c_{i-1}) / 2,
+        # e^{-x/2} sum h_i L_i^{(0)} is d/dx of x e^{-x/2} sum c_k L_k^{(1)}, the
+        # latter differentiated numerically by mpmath.
+        c = np.random.default_rng([n, 7]).standard_normal(n + 1)
+        with mpmath.workdps(40):
+            cm = [mpmath.mpf(float(v)) for v in c] + [mpmath.mpf(0)]
+            h = [((i + 1) * cm[i] + i * cm[i - 1]) / 2 for i in range(n + 2)]  # cm[-1] = 0
+
+            def u(t):
+                return t * mpmath.exp(-t / 2) * mpmath.fsum(
+                    ck * mpmath.laguerre(k, 1, t) for k, ck in enumerate(cm[:-1]))
+
+            for x in (0.0, 0.3, 2.0, 11.5, 50.0):
+                xm = mpmath.mpf(x)
+                lhs = mpmath.exp(-xm / 2) * mpmath.fsum(
+                    hi * lk for hi, lk in zip(h, _mp_laguerre_all(0, n + 1, xm)))
+                rhs = mpmath.diff(u, xm)
+                assert abs(lhs - rhs) <= mpmath.mpf(10) ** -30 * max(1, abs(rhs))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -824,8 +841,9 @@ class TestEvaluationMemory:
 
     x = np.linspace(0.0, 500.0, 20_000)
 
-    def test_derivative_stays_within_eight_vectors(self, solution_200):
-        assert traced_peak_bytes(partial_sum_deriv, solution_200, 200, self.x) <= 8 * self.x.size * 8
+    def test_derivative_stays_within_four_vectors(self, solution_200):
+        # The one-vector Clenshaw sweep holds three len(x) vectors; a second column would need six.
+        assert traced_peak_bytes(partial_sum_deriv, solution_200, 200, self.x) <= 4 * self.x.size * 8
 
     def test_sobolev_table_is_built_once(self, solution_200):
         peak = traced_peak_bytes(sobolev_eval_all, solution_200.basis, 200, self.x)

@@ -31,7 +31,7 @@ for n in range(5):
     print(f"  S_{n}(x) = " + " ".join(parts))
 
 print("\nConnection coefficients, recurrence vs closed ratio form:")
-print(f"  {'n':>4} {'a_n (recurrence)':>20} {'a_n (ratio)':>20} {'1 - 2 sqrt(lam/n)':>20}")
+print(f"  {'n':>4} {'a_n (recurrence)':>20} {'a_n (ratio)':>20} {'fixed point, O(1/n)':>20}")
 a_recur = connection_recurrence(lam, 10)
 for n in range(10):
     a_rec = a_recur[n]

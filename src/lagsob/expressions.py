@@ -9,8 +9,17 @@ Grammar (precedence low to high, ^ right-associative):
     atom    := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
 
 so "-x^2" means -(x^2) and "2^3^2" means 2^(3^2).  Implicit multiplication
-is rejected.  Every failure mode is a positioned ExpressionError: arbitrary
-input either parses or reports where it went wrong, never crashes.
+is rejected.  Lexing is one regular expression, run over the whole input
+before parsing starts, so a lexical error anywhere is the one reported.
+
+Every failure mode is a positioned ExpressionError: arbitrary input either
+parses or reports where it went wrong, never crashes.  That includes depth:
+each parenthesis, call, unary minus and operator operand opens one level of
+nesting, and the tree's depth counts its operator nodes, so a sum of k + 1
+terms is k deep.  Past _MAX_DEPTH = 250 of either, parsing stops with
+"expression nested deeper than 250 levels at offset N", where N is the
+token that went one level too deep.  Within the bound no parse, evaluation
+or formatting of the tree can exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -37,15 +46,21 @@ FUNCTIONS = {
 CONSTANTS = {"pi": math.pi, "e": math.e}
 # numpy rounds these exactly like Python floats do; a zero divisor is checked first.
 _IEEE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# Binary precedence;  unary minus sits between '*' and '^'.
+_BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY_PREC = 3
+_MAX_DEPTH = 250
 
-NUMBER = "number"
-IDENT = "identifier"
-OP = "operator"
-LPAREN = "lparen"
-RPAREN = "rparen"
-
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Each group name is a token kind; the first alternative that matches wins.
+# \d is Unicode's decimal digits and \s is str.isspace; `bad` takes any other
+# single character, and reports other str.isdigit ones such as '²' as numbers.
+_TOKEN_RE = re.compile(
+    r"""(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<operator>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\))
+      | (?P<space>\s+) | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class ExpressionError(ValueError):
@@ -56,8 +71,7 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -97,118 +111,14 @@ Expr = Union[Num, Var, Neg, Bin, Call]
 def tokenize(text: str) -> list[Token]:
     """Longest-match lexing; whitespace skipped; only ASCII operators accepted."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            m = _NUMBER_RE.match(text, i)
-            if m is None or m.group() == ".":
-                raise ExpressionError(f"malformed number at offset {i}", i)
-            tokens.append(Token(NUMBER, m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m is not None:
-            tokens.append(Token(IDENT, m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^":
-            tokens.append(Token(OP, c, i))
-        elif c == "(":
-            tokens.append(Token(LPAREN, c, i))
-        elif c == ")":
-            tokens.append(Token(RPAREN, c, i))
-        else:
-            raise ExpressionError(f"unexpected character {c!r} at offset {i}", i)
-        i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, c, i = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            what = "malformed number" if c.isdigit() or c == "." else f"unexpected character {c!r}"
+            raise ExpressionError(f"{what} at offset {i}", i)
+        if kind != "space":
+            tokens.append(Token(kind, c, i))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of input; expression is incomplete")
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of input; expected {what}")
-        if tok.kind != kind:
-            raise ExpressionError(
-                f"expected {what} at offset {tok.pos}, found {tok.text!r}", tok.pos
-            )
-        return self.advance()
-
-    # Binary precedence;  unary minus sits between '*' and '^'.
-    _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-    _UNARY_PREC = 3
-
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        left = self.parse_prefix()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != OP:
-                return left
-            prec = self._BIN_PREC.get(tok.text)
-            if prec is None or prec < min_prec:
-                return left
-            self.advance()
-            # '^' is right-associative: its right operand may match the same
-            # precedence; the left-associative ops require strictly higher.
-            next_min = prec if tok.text == "^" else prec + 1
-            right = self.parse_expr(next_min)
-            left = Bin(tok.text, left, right)
-
-    def parse_prefix(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of input; expected a value")
-        if tok.kind == OP and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_expr(self._UNARY_PREC))
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == NUMBER:
-            return Num(float(tok.text))
-        if tok.kind == LPAREN:
-            inner = self.parse_expr()
-            self.expect(RPAREN, "')'")
-            return inner
-        if tok.kind == IDENT:
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == LPAREN:
-                if tok.text not in FUNCTIONS:
-                    raise ExpressionError(
-                        f"unknown function {tok.text!r} at offset {tok.pos}", tok.pos
-                    )
-                self.advance()
-                arg = self.parse_expr()
-                self.expect(RPAREN, "')'")
-                return Call(tok.text, arg)
-            if tok.text == "x":
-                return Var()
-            if tok.text in CONSTANTS:
-                return Num(CONSTANTS[tok.text])
-            raise ExpressionError(f"unknown name {tok.text!r} at offset {tok.pos}", tok.pos)
-        raise ExpressionError(
-            f"expected a value at offset {tok.pos}, found {tok.text!r}", tok.pos
-        )
 
 
 def parse_expression(text: str) -> Expr:
@@ -216,13 +126,67 @@ def parse_expression(text: str) -> Expr:
     tokens = tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
-    parser = _Parser(tokens)
-    tree = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ExpressionError(
-            f"trailing input at offset {trailing.pos}: {trailing.text!r}", trailing.pos
+    end = len(tokens)
+
+    def too_deep(tok: Token) -> ExpressionError:
+        return ExpressionError(
+            f"expression nested deeper than {_MAX_DEPTH} levels at offset {tok.pos}", tok.pos
         )
+
+    def climb(i: int, min_prec: int, depth: int) -> tuple[Expr, int, int]:
+        """(tree, its depth, next index) for tokens[i:], taking operators of min_prec or more.
+
+        `depth` counts the levels open around this call, so the recursion
+        stops at _MAX_DEPTH frames.
+        """
+        if depth > _MAX_DEPTH:
+            raise too_deep(tokens[i - 1])
+        if i == end:
+            raise ExpressionError("unexpected end of input; expected a value")
+        tok = tokens[i]
+        call = tok.kind == "identifier" and i + 1 < end and tokens[i + 1].kind == "lparen"
+        if call and tok.text not in FUNCTIONS:
+            raise ExpressionError(f"unknown function {tok.text!r} at offset {tok.pos}", tok.pos)
+        if tok.text == "-":
+            operand, height, i = climb(i + 1, _UNARY_PREC, depth + 1)
+            left, height = Neg(operand), height + 1
+        elif tok.kind == "lparen" or call:
+            left, height, i = climb(i + 1 + call, 1, depth + 1)
+            if i == end:
+                raise ExpressionError("unexpected end of input; expected ')'")
+            if tokens[i].kind != "rparen":
+                raise ExpressionError(
+                    f"expected ')' at offset {tokens[i].pos}, found {tokens[i].text!r}", tokens[i].pos
+                )
+            i += 1
+            if call:
+                left, height = Call(tok.text, left), height + 1
+        elif tok.kind == "number":
+            left, height, i = Num(float(tok.text)), 0, i + 1
+        elif tok.text == "x":
+            left, height, i = Var(), 0, i + 1
+        elif tok.text in CONSTANTS:
+            left, height, i = Num(CONSTANTS[tok.text]), 0, i + 1
+        elif tok.kind == "identifier":
+            raise ExpressionError(f"unknown name {tok.text!r} at offset {tok.pos}", tok.pos)
+        else:
+            raise ExpressionError(f"expected a value at offset {tok.pos}, found {tok.text!r}", tok.pos)
+        while True:
+            if height > _MAX_DEPTH:
+                raise too_deep(tok)
+            prec = _BIN_PREC.get(tokens[i].text, 0) if i < end else 0
+            if prec < min_prec:
+                return left, height, i
+            # '^' is right-associative: its right operand may match the same
+            # precedence; the left-associative ops require strictly higher.
+            tok = tokens[i]
+            right, right_height, i = climb(i + 1, prec + (tok.text != "^"), depth + 1)
+            left, height = Bin(tok.text, left, right), max(height, right_height) + 1
+
+    tree, _, i = climb(0, 1, 0)
+    if i < end:
+        tok = tokens[i]
+        raise ExpressionError(f"trailing input at offset {tok.pos}: {tok.text!r}", tok.pos)
     return tree
 
 
@@ -262,9 +226,9 @@ def _eval(expr: Expr, x: np.ndarray) -> np.ndarray:
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, Bin):
-        return _Parser._BIN_PREC[expr.op]
+        return _BIN_PREC[expr.op]
     if isinstance(expr, Neg):
-        return _Parser._UNARY_PREC
+        return _UNARY_PREC
     return 9
 
 
@@ -276,7 +240,7 @@ def format_expr(expr: Expr) -> str:
         return "x"
     if isinstance(expr, Neg):
         inner = format_expr(expr.operand)
-        if _prec(expr.operand) < _Parser._UNARY_PREC:
+        if _prec(expr.operand) < _UNARY_PREC:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(expr, Call):

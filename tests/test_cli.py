@@ -193,6 +193,15 @@ class TestSolveCommand:
         assert flag in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_too_deep_expression_is_one_error_line(self, tmp_path, capsys):
+        # A 1,000-term sum is deeper than the expression language's bound.
+        f_expr = "+".join(["x"] * 1000)
+        assert main(["solve", "--f-expr", f_expr, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --f-expr: expression nested deeper than 250 levels at offset 501\n"
+        )
+        assert not any(tmp_path.iterdir())
+
 
 class TestCoeffsCommand:
     def test_table_values(self, tmp_path):

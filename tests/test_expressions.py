@@ -297,6 +297,18 @@ class TestArrayEvaluation:
                 to_callable(parse_expression(text))(x)
 
 
+# The trees parse_expression can return: its numbers are finite and non-negative.
+PARSED_TREES = st.recursive(
+    st.one_of(st.just(Var()), st.floats(min_value=0.0, allow_infinity=False).map(Num)),
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), kids),
+    ),
+    max_leaves=25,
+)
+
+
 class TestRoundTrip:
     CORPUS = [
         "1",
@@ -356,6 +368,11 @@ class TestRoundTrip:
         tree = parse_expression(text)
         assert parse_expression(format_expr(tree)) == tree
 
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(tree=PARSED_TREES)
+    def test_formatted_tree_reparses_identically(self, tree):
+        assert parse_expression(format_expr(tree)) == tree
+
 
 class TestFuzz:
     def test_arbitrary_input_never_crashes(self):
@@ -371,3 +388,62 @@ class TestFuzz:
                 to_callable(tree)(1.7)
             except ExpressionError:
                 continue
+
+
+# Each shape at k levels: k parentheses, minus signs, powers, calls or plus signs.
+DEEP = {
+    "parentheses": lambda k: "(" * k + "x" + ")" * k,
+    "unary-minus": lambda k: "-" * k + "x",
+    "power": lambda k: "^".join(["x"] * (k + 1)),
+    "calls": lambda k: "sin(" * k + "x" + ")" * k,
+    "sum": lambda k: "+".join(["x"] * (k + 1)),
+}
+
+
+class TestDepthBound:
+    BOUND = expressions._MAX_DEPTH
+
+    @pytest.mark.parametrize("shape", DEEP)
+    def test_at_the_bound_everything_works(self, shape):
+        tree = parse_expression(DEEP[shape](self.BOUND))
+        assert parse_expression(format_expr(tree)) == tree
+        x = np.array([0.25, 0.5])
+        assert np.array_equal(to_callable(tree)(x), [reference_eval(tree, v) for v in x])
+
+    @pytest.mark.parametrize(
+        "shape, offset",
+        [("parentheses", 250), ("unary-minus", 250), ("power", 501), ("calls", 1003), ("sum", 501)],
+    )
+    def test_one_level_deeper_is_positioned(self, shape, offset):
+        # The offset is the token that opens the 251st level: the last '(' or
+        # '-', the 251st operator, or the 251st call's '('.
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(DEEP[shape](self.BOUND + 1))
+        assert exc.value.position == offset
+        assert str(exc.value) == f"expression nested deeper than 250 levels at offset {offset}"
+
+    def test_levels_add_up_across_shapes(self):
+        # Parentheses around a sum at the bound add no tree depth; a minus
+        # sign in front of it does, and is the offending token.
+        at_bound = DEEP["sum"](self.BOUND)
+        assert parse_expression(f"({at_bound})") == parse_expression(at_bound)
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(f"1 - -({at_bound})")
+        assert exc.value.position == 4
+        half = self.BOUND // 2
+        parse_expression("(" * half + "-" * half + "x" + ")" * half)
+        with pytest.raises(ExpressionError):
+            parse_expression("(" * half + "-" * (half + 1) + "x" + ")" * half)
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 400 + "x" + ")" * 400, "-" * 1000 + "x", "+".join(["x"] * 1000)],
+        ids=["400-parentheses", "1000-minus-signs", "1000-term-sum"],
+    )
+    def test_far_too_deep_input_is_an_expression_error(self, text):
+        with pytest.raises(ExpressionError, match="nested deeper than 250 levels"):
+            parse_expression(text)
+
+    def test_lexical_error_beyond_the_bound_still_wins(self):
+        with pytest.raises(ExpressionError, match="unexpected character") as exc:
+            parse_expression("(" * 400 + "x" + ")" * 400 + "−1")
+        assert exc.value.position == 801

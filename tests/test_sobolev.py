@@ -215,8 +215,28 @@ class TestSobolevBasisChecks:
 
 class TestAsymptotics:
     def test_formula_values(self):
-        assert connection_asymptotic(1.0, 4) == 0.0
-        assert connection_asymptotic(1.0, 10**4) == pytest.approx(0.98)
+        # The smaller root of n a^2 - B a + (n+2) = 0, B = 4 lam + 2n + 2, in 30 digits.
+        def root(lam, n):
+            with mpmath.workdps(30):
+                b = 4 * mpmath.mpf(lam) + 2 * n + 2
+                return float((b - mpmath.sqrt(b * b - 4 * n * (n + 2))) / (2 * n))
+
+        assert connection_asymptotic(1.0, 4) == pytest.approx(0.5, rel=1e-15)
+        for lam, n in [(1.0, 1), (1.0, 10**4), (1000.0, 100), (1e-3, 7)]:
+            assert connection_asymptotic(lam, n) == pytest.approx(root(lam, n), rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3, 1e200])
+    def test_inside_unit_interval(self, lam):
+        values = [connection_asymptotic(lam, n) for n in range(1, 1001)]
+        assert all(0.0 < v < 1.0 for v in values)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0, 1e3])
+    def test_first_order_against_ratio(self, lam):
+        # measured: relative error <= 1.09e-2 (lam = 1, n = 3), n * error -> ~0.25
+        a = connection_ratio(lam, 1001)
+        for n in range(1, 1001):
+            rel = abs(connection_asymptotic(lam, n) - a[n]) / a[n]
+            assert rel <= 1.1e-2 and n * rel <= 0.25
 
     def test_remainder_at_large_n(self):
         # threshold frozen from a calibration run: |a_n - asym| = 2.74e-4 at n = 10^4

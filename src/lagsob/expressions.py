@@ -52,14 +52,15 @@ _UNARY_PREC = 3
 _MAX_DEPTH = 250
 
 # Each group name is a token kind; the first alternative that matches wins.
-# \d is Unicode's decimal digits and \s is str.isspace; `bad` takes any other
-# single character, and reports other str.isdigit ones such as '²' as numbers.
+# re.ASCII keeps \d to 0-9 and \s to ASCII whitespace; `bad` takes any other
+# single character, and reports non-ASCII digits such as '٣', '３' or '²' as
+# malformed numbers.
 _TOKEN_RE = re.compile(
     r"""(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
       | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<operator>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\))
       | (?P<space>\s+) | (?P<bad>.)""",
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
 
 
@@ -109,7 +110,7 @@ Expr = Union[Num, Var, Neg, Bin, Call]
 
 
 def tokenize(text: str) -> list[Token]:
-    """Longest-match lexing; whitespace skipped; only ASCII operators accepted."""
+    """Longest-match lexing over an ASCII alphabet; ASCII whitespace skipped."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, c, i = m.lastgroup, m.group(), m.start()

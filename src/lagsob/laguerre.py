@@ -123,15 +123,16 @@ class _TableCache:
                 self._entries.move_to_end(key)
             return table
 
-    def put(self, key, table: np.ndarray) -> None:
-        """Publish a read-only copy of table unless it is over the budget or the entry is as deep."""
+    def put(self, key, table: np.ndarray):
+        """Publish a read-only copy of table unless it is over the budget or the entry is
+        as deep; returns the entry now stored under key, or None if over the budget."""
         cost = self._cost(key, table)
         if cost > self.budget:
-            return
+            return None
         with self._lock:
             old = self._entries.get(key)
             if old is not None and len(old) >= len(table):
-                return
+                return old
             view = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, table.nbytes))
             view[:] = table
             view.setflags(write=False)
@@ -142,6 +143,7 @@ class _TableCache:
             self.nbytes += cost
             while self.nbytes > self.budget:
                 self.nbytes -= self._cost(*self._entries.popitem(last=False))
+            return view
 
     def clear(self) -> None:
         with self._lock:
@@ -153,16 +155,21 @@ _TABLES = _TableCache(8 << 20)
 
 
 def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
-    """A fresh (n_max+1) x len(xf) table: a prefix of the cached table of xf if that
-    is deep enough, else built whole and stored if every row is finite."""
+    """A read-only (n_max+1) x len(xf) table: a view of the cached table of xf if that
+    is deep enough, else built whole and stored if every row is finite.
+
+    A stored table is all-finite, so its points are: the finiteness check runs
+    only on a miss.  Hits copy nothing.
+    """
     key = (alpha, xf.tobytes())
     head = _TABLES.get(key)
-    if head is not None and len(head) > n_max:
-        return head[: n_max + 1].copy()
-    rows = _table(alpha, n_max, xf)
-    if np.isfinite(rows).all():
-        _TABLES.put(key, rows)
-    return rows
+    if head is None or len(head) <= n_max:
+        rows = _table(alpha, n_max, _check_finite_scalar_or_array(xf))
+        head = _TABLES.put(key, rows) if np.isfinite(rows).all() else None
+        if head is None:
+            rows.setflags(write=False)
+            return rows
+    return head[: n_max + 1]
 
 
 def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
@@ -171,12 +178,17 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
     Returns an array of shape (n_max+1,) for scalar x, or
     (n_max+1,) + x.shape for array x.  Both paths do the arithmetic of
     ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) / (n+1) in that order, so
-    their values are bit-identical to it.  Arrays of at most 256 points reuse
-    the rows of earlier calls on the same points; every result is a fresh array.
+    their values are bit-identical to it.  Arrays of 1 to 256 points reuse
+    the rows of earlier calls on the same points and get a read-only array,
+    a view of the stored table where there is one; copy it to write into it.
+    Scalars, empty arrays and larger grids get a fresh, writable array.
     """
     n_max = _check_order("n_max", n_max)
     alpha = family.alpha
-    xa = _check_finite_scalar_or_array(x)
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim and 0 < xa.size <= _CACHE_MAX_POINTS:
+        return _cached_rows(float(alpha), n_max, xa.reshape(-1)).reshape((n_max + 1,) + xa.shape)
+    _check_finite_scalar_or_array(xa)
     if xa.ndim == 0:
         # Python floats: in-place updates of 1-element views cost more than the arithmetic.
         x = float(xa)
@@ -184,16 +196,14 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
         for n in range(1, n_max):
             vals.append(((2 * n + 1 + alpha - x) * vals[n] - (n + alpha) * vals[n - 1]) / (n + 1))
         return np.array(vals)
-    xf = xa.reshape(-1)
-    if 0 < xf.size <= _CACHE_MAX_POINTS:
-        rows = _cached_rows(float(alpha), n_max, xf)
-    else:
-        rows = _table(alpha, n_max, xf)
-    return rows.reshape((n_max + 1,) + xa.shape)
+    return _table(alpha, n_max, xa.reshape(-1)).reshape((n_max + 1,) + xa.shape)
 
 
 def laguerre_eval(family: LaguerreFamily, n: int, x):
-    """L_n^{(alpha)}(x) by forward recurrence from L_{-1} = 0, L_0 = 1."""
+    """L_n^{(alpha)}(x) by forward recurrence from L_{-1} = 0, L_0 = 1.
+
+    Row n of laguerre_eval_all, so read-only for arrays of 1 to 256 points.
+    """
     n = _check_order("n", n)
     return laguerre_eval_all(family, n, x)[n]
 

@@ -175,9 +175,11 @@ def _connect(a, table: np.ndarray) -> np.ndarray:
 
 def sobolev_eval_all(basis: SobolevBasis, n: int, x):
     """S_0(x)..S_n(x) by the forward connection recursion on one Laguerre table,
-    so only one (n+1) x len(x) array is formed."""
+    so only one (n+1) x len(x) array is formed: a read-only cached table is copied
+    first, a fresh one is connected in place."""
     n = _check_order("n", n, hi=basis.n_max)
-    return _connect(basis.a, laguerre_eval_all(_L1, n, x))
+    table = laguerre_eval_all(_L1, n, x)
+    return _connect(basis.a, table if table.flags.writeable else table.copy())
 
 
 def sobolev_coeffs(basis: SobolevBasis, n: int) -> np.polynomial.Polynomial:

@@ -98,7 +98,8 @@ def _moments(rhs: Callable, n_max: int):
     recorded in the report, not raised.  Only non-finite integrand values
     abort.  The g(n) are independent, so they are computed from n_max down:
     the first Laguerre table on each rule's nodes is then the deepest the
-    stage needs, stored once, and every later index reads a prefix of it.
+    stage needs, stored once, and every later index reads row n of it in
+    place; no attempt copies the table.
     """
     evals = 0
 
@@ -112,11 +113,11 @@ def _moments(rhs: Callable, n_max: int):
 
     def integrand(t):
         # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.  Only rhs
-        # falls back to per-node calls; 4 f L_n is formed on row n (the loop's index) of a fresh table.
+        # falls back to per-node calls; 4 f L_n is formed from row n (the loop's index) of a
+        # read-only view of the cached table, in the one new array its product makes.
         x = 2.0 * t
         fx = _vectorised(counted_rhs, x)
-        row = laguerre_eval_all(_L1, n, x)[n]
-        row *= fx
+        row = laguerre_eval_all(_L1, n, x)[n] * fx
         row *= 4.0
         return row
 

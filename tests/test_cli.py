@@ -202,6 +202,11 @@ class TestSolveCommand:
         )
         assert not any(tmp_path.iterdir())
 
+    def test_non_ascii_digit_is_one_error_line(self, tmp_path, capsys):
+        assert main(["solve", "--f-expr", "\u0663*x", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --f-expr: malformed number at offset 0\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestCoeffsCommand:
     def test_table_values(self, tmp_path):

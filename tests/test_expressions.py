@@ -117,6 +117,20 @@ class TestTokenize:
             tokenize("1e−3")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize(
+        "text, pos, what",
+        [
+            ("\u0663*x", 0, "malformed number"),  # Arabic-Indic three
+            ("x + \uff13", 4, "malformed number"),  # fullwidth three
+            ("2\xa0*x", 1, "unexpected character"),  # no-break space
+            ("2*x\u2003+1", 3, "unexpected character"),  # em space
+        ],
+    )
+    def test_non_ascii_digits_and_spaces_rejected_with_offset(self, text, pos, what):
+        with pytest.raises(ExpressionError, match=f"{what}.* at offset {pos}$") as exc:
+            parse_expression(text)
+        assert exc.value.position == pos
+
     def test_number_forms(self):
         for text, value in [("2", 2.0), ("2.5", 2.5), (".5", 0.5), ("1e-3", 1e-3), ("2.5E+2", 250.0)]:
             assert at_point(text, 0.0) == value

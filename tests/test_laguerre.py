@@ -246,21 +246,52 @@ class TestTableCache:
         finally:
             _TABLES.clear()
 
-    def test_results_are_fresh_writable_arrays(self, cold_tables):
-        x = gauss_laguerre(1.0, 64).nodes
-        first = laguerre_eval_all(_L1, 30, x)  # computed and stored
-        again = laguerre_eval_all(_L1, 30, x)  # the stored depth
-        short = laguerre_eval_all(_L1, 20, x)  # a prefix of it
+    @pytest.mark.parametrize("m", [1, 64, 256])
+    def test_small_point_sets_get_read_only_views_of_the_stored_table(self, cold_tables, m):
+        x = gauss_laguerre(1.0, m).nodes
+        results = [
+            laguerre_eval_all(_L1, 30, x),  # computed and stored
+            laguerre_eval_all(_L1, 30, x),  # the stored depth
+            laguerre_eval_all(_L1, 20, x),  # a prefix of it
+            laguerre_eval(_L1, 25, x),  # one row of it
+            laguerre_eval_all(_L1, 30, x.reshape(1, m)),  # the same points in another shape
+        ]
         (stored,) = cold_tables._entries.values()
-        assert not stored.flags.writeable
-        arrays = [first, again, short, stored]
-        assert all(t.flags.writeable for t in arrays[:3])
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
         expected = reference_eval_all(_L1, 30, x)
-        for table in arrays[:3]:
-            table[:] = -1.0
+        for table in results:
+            assert not table.flags.writeable and np.shares_memory(table, stored)
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = -1.0
         assert np.array_equal(laguerre_eval_all(_L1, 30, x), expected)
         assert np.array_equal(laguerre_eval_all(_L1, 25, x), expected[:26])
+        assert np.array_equal(stored, expected)
+
+    @pytest.mark.parametrize(
+        "x", [0.5, np.empty(0), np.linspace(0.0, 20.0, _CACHE_MAX_POINTS + 1)], ids=["scalar", "empty", "257"]
+    )
+    def test_scalars_empty_and_large_inputs_get_fresh_writable_arrays(self, cold_tables, x):
+        first, again = laguerre_eval_all(_L1, 30, x), laguerre_eval_all(_L1, 30, x)
+        assert first.flags.writeable and again.flags.writeable
+        assert not np.shares_memory(first, again)
+        first[...] = -1.0
+        assert np.array_equal(laguerre_eval_all(_L1, 30, x), reference_eval_all(_L1, 30, x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m", [1, 2, _CACHE_MAX_POINTS])
+    def test_non_finite_points_raise_with_the_cache_warm(self, cold_tables, bad, m):
+        # The key is looked up before the finiteness check; no stored key has a non-finite point.
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            laguerre_eval_all(_L1, 10, rng.uniform(0.0, 50.0, m))
+        x = rng.uniform(0.0, 50.0, m)
+        laguerre_eval_all(_L1, 10, x)
+        for i in sorted({0, m // 2, m - 1}):
+            y = x.copy()
+            y[i] = bad
+            for n_max in (0, 10):
+                with pytest.raises(ValueError, match="evaluation point must be finite"):
+                    laguerre_eval_all(_L1, n_max, y)
+        assert len(cold_tables._entries) == 4
 
     def test_published_rows_are_never_written(self, cold_tables):
         x = gauss_laguerre(1.0, 64).nodes

@@ -274,8 +274,8 @@ class TestMoments:
         ids=["exp-decay", "rational-decay", "scalar-only"],
     )
     def test_each_moment_is_the_one_line_integral_bit_for_bit(self, rhs):
-        # The stage forms 4 f(2t) L_n(2t) in place on a fresh table row; this
-        # reference builds the same product the plain way, one closure per attempt.
+        # The stage forms 4 f(2t) L_n(2t) from a read-only view of row n of the cached
+        # table; this reference builds the same product the plain way, one closure per attempt.
         g, report, _ = _moments(rhs, 100)
         for n in (0, 20, 100):
             ref = integrate_adaptive(
@@ -382,6 +382,15 @@ class TestTableReuse:
         finally:
             tracemalloc.stop()
         assert retained < 1024
+
+    def test_a_warm_solve_copies_no_table(self):
+        # Each moment attempt reads row n of the stored table in place, so a warm
+        # solve's peak is a few rule-length vectors, whatever the table's depth;
+        # copying rows 0..n of the 201 x 256 table would cost 411,648 bytes.
+        problem = builtin_problem("exp-decay")
+        solve(problem, 200)
+        gc.collect()
+        assert traced_peak_bytes(solve, problem, 200) <= 64 << 10
 
     def test_threads_match_a_serial_solve(self):
         names = ("exp-decay", "rational-decay")
@@ -775,7 +784,7 @@ class TestClenshawKernel:
         a = basis.a
         with np.errstate(over="ignore", invalid="ignore"):
             got = sobolev_eval_all(basis, n, x)
-            out = laguerre_eval_all(LaguerreFamily(1.0), n, x)
+            out = laguerre_eval_all(LaguerreFamily(1.0), n, x).copy()
             for k in range(1, n + 1):
                 out[k] -= a[k - 1] * out[k - 1]
         assert got.shape == out.shape

@@ -385,8 +385,8 @@ class TestTableReuse:
 
     def test_a_warm_solve_copies_no_table(self):
         # Each moment attempt reads row n of the stored table in place, so a warm
-        # solve's peak is a few rule-length vectors, whatever the table's depth;
-        # copying rows 0..n of the 201 x 256 table would cost 411,648 bytes.
+        # solve's peak is its result and a few rule-length vectors, whatever the
+        # table's depth; copying rows 0..n of the 201 x 256 table costs 411,648 bytes.
         problem = builtin_problem("exp-decay")
         solve(problem, 200)
         gc.collect()

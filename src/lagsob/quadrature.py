@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -54,10 +54,12 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.size
 
-    @property
+    @cached_property
     def plain_weights(self) -> np.ndarray:
-        """Weights for the unweighted integral of F(x) dx over (0, inf)."""
-        return np.exp(self.log_weights + self.nodes - self.alpha * np.log(self.nodes))
+        """Weights for the unweighted integral of F(x) dx over (0, inf), computed once per rule."""
+        w = np.exp(self.log_weights + self.nodes - self.alpha * np.log(self.nodes))
+        w.setflags(write=False)
+        return w
 
 
 def _laguerre_sweep(alpha: float, m: np.ndarray, x: np.ndarray, christoffel: bool = True):
@@ -151,28 +153,30 @@ def _vectorised(f: Callable, x) -> np.ndarray:
         return np.array([float(f(float(t))) for t in np.ravel(x)]).reshape(shape)
 
 
-def _eval_on_nodes(g: Callable, nodes: np.ndarray) -> np.ndarray:
+def _weighted_sum(weights: np.ndarray, g: Callable, nodes: np.ndarray) -> float:
+    # Any NaN or inf value makes the sum non-finite (inf * 0 is NaN too): search only then.
     vals = _vectorised(g, nodes)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    total = float(weights.dot(vals))  # np.dot's own code, without its dispatch layer
+    if not math.isfinite(total) and not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
         raise ValueError(f"integrand returned {float(vals[i])!r} at node x={float(nodes[i])!r}")
-    return vals
+    return total
 
 
 def integrate(rule: QuadratureRule, g: Callable) -> float:
-    """sum_i w_i g(x_i), approximating integral of g(x) x^alpha e^{-x} dx."""
-    return float(np.dot(rule.weights, _eval_on_nodes(g, rule.nodes)))
+    """sum_i w_i g(x_i), approximating integral of g(x) x^alpha e^{-x} dx.  Only a non-finite
+    sum is searched for a NaN or inf g(x_i): ValueError names the first such node."""
+    return _weighted_sum(rule.weights, g, rule.nodes)
 
 
 def integrate_plain(rule: QuadratureRule, f: Callable) -> float:
     """sum_i w~_i f(x_i), approximating the unweighted integral of f over (0, inf).
 
-    Uses the log-scaled weights, so f is evaluated as-is: no e^{x}
-    compensation factor appears in the integrand (that factor overflows at
-    the far nodes of large rules even when its contribution is negligible).
+    Uses the log-scaled weights, so f is evaluated as-is: no e^{x} compensation factor
+    appears in the integrand (that factor overflows at the far nodes of large rules even
+    when its contribution is negligible).  Non-finite values are refused as in integrate.
     """
-    return float(np.dot(rule.plain_weights, _eval_on_nodes(f, rule.nodes)))
+    return _weighted_sum(rule.plain_weights, f, rule.nodes)
 
 
 class AdaptiveResult(NamedTuple):

@@ -16,7 +16,6 @@ data genuinely saturates the cap (and the method's accuracy degrades with it).
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -49,8 +48,8 @@ _L1 = LaguerreFamily(1.0)
 
 DEFAULT_N_MAX = 20
 
-# Parseval errors more negative than this indicate inconsistent quadrature
-# rather than rounding noise.
+# Parseval errors more negative than this are not rounding noise: moments that hit the
+# quadrature cap can overshoot ||u||^2 in the cumulative sum (sobolev_error_direct does not).
 _NEGATIVE_EPS_FLOOR = -1e-8
 
 
@@ -99,7 +98,7 @@ def _moments(rhs: Callable, n_max: int):
     abort.  The g(n) are independent, so they are computed from n_max down:
     the first Laguerre table on each rule's nodes is then the deepest the
     stage needs, stored once, and every later index reads row n of it in
-    place; no attempt copies the table.
+    place.  Each rule's scaled nodes and integrand are built once per stage.
     """
     evals = 0
 
@@ -111,23 +110,27 @@ def _moments(rhs: Callable, n_max: int):
         evals += np.size(x)
         return fx
 
-    def integrand(t):
-        # x = 2t turns the weight x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule.  Only rhs
-        # falls back to per-node calls; 4 f L_n is formed from row n (the loop's index) of a
-        # read-only view of the cached table, in the one new array its product makes.
-        x = 2.0 * t
-        fx = _vectorised(counted_rhs, x)
-        row = laguerre_eval_all(_L1, n, x)[n] * fx
-        row *= 4.0
-        return row
+    sized = {}  # rule size -> (rule, integrand), built on its first use in this stage
 
-    rule = functools.cache(lambda m: gauss_laguerre(1.0, m))  # one lookup per size and stage
+    def attempt(m):
+        if m not in sized:
+            rule = gauss_laguerre(1.0, m)
+            x = 2.0 * rule.nodes  # x = 2t turns x e^{-x/2} dx into 4 t e^{-t} dt: the alpha=1 rule
+            def integrand(t):
+                # Only rhs falls back to per-node calls; 4 f L_n is one new array from row n's view.
+                fx = _vectorised(counted_rhs, x)
+                row = laguerre_eval_all(_L1, n, x)[n] * fx
+                row *= 4.0
+                return row
+            sized[m] = rule, integrand
+        return integrate(*sized[m])
+
     g = np.empty(n_max + 1)
     report = [None] * (n_max + 1)
-    # The integrator's finiteness check refuses, and names, a node where the integrand overflows.
+    # Overflow in the table or the dot stays silent: the integrator refuses, and names, that node.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_max, -1, -1):
-            res = integrate_adaptive(lambda m: integrate(rule(m), integrand))
+            res = integrate_adaptive(attempt)
             g[n] = res.value
             report[n] = res
     return g, report, evals
@@ -250,9 +253,12 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
         sol.norm_report["u_sq_over_x"], sol.norm_report["du_sq"] = reports
         eps = norm_sq - np.cumsum(sol.uhat**2 * sol.basis.s)
         if np.any(eps < _NEGATIVE_EPS_FLOOR):
+            capped = sum(not r.converged for r in sol.quad_report)
+            norms = ", ".join(f"{k} {r.converged}" for k, r in sol.norm_report.items())
             warnings.warn(
-                f"sobolev_error went below {_NEGATIVE_EPS_FLOOR:g} "
-                f"(min {eps.min():.3e}); quadrature of the exact norm looks inconsistent",
+                f"sobolev_error went below {_NEGATIVE_EPS_FLOOR:g} (min {eps.min():.3e}): {capped} of "
+                f"{sol.n_max + 1} moments hit the quadrature cap; norm integrals converged: {norms}; "
+                "sobolev_error_direct integrates the error itself",
                 stacklevel=2,
             )
         elif np.any(eps < 0.0):

@@ -7,6 +7,7 @@ PYTHONPATH=src:tests python -c "from test_quadrature import write_table; write_t
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -307,6 +308,76 @@ class TestIntegrate:
             assert gram[n, n] == pytest.approx(n + 1.0, rel=1e-12)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-9
+
+
+class TestSumFirstFiniteness:
+    """Both integrators form the weighted sum first and search the values only when it is
+    not finite.  Any NaN or inf value makes the sum non-finite, also where its weight
+    underflowed to 0 (inf * 0 is NaN), so the same integrands are refused, with the same
+    message naming the first non-finite node."""
+
+    RULE = gauss_laguerre(1.0, 256)
+    # The first node of the 256-point alpha = 1 rule whose weight underflows to 0.
+    FAR = int(np.flatnonzero(RULE.weights == 0.0)[0])
+
+    # numpy checks the dot's floating-point flags: an inf times an underflowed weight is an
+    # invalid operation, so it warns before the ValueError (the moment stage runs the
+    # integrator under np.errstate and does not).
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("integrator", [integrate, integrate_plain])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "underflowed"])
+    def test_non_finite_value_names_the_first_such_node(self, integrator, bad, where):
+        rule = self.RULE
+        i = {"first": 0, "middle": 128, "last": rule.size - 1, "underflowed": self.FAR}[where]
+        assert (rule.weights[i] == 0.0) == (where in ("last", "underflowed"))
+
+        def g(x):
+            vals = np.exp(-x / 2.0)
+            vals[-1] = math.nan  # a later non-finite value must not be the one named
+            vals[i] = bad
+            return vals
+
+        with pytest.raises(ValueError) as exc:
+            integrator(rule, g)
+        assert str(exc.value) == f"integrand returned {bad!r} at node x={float(rule.nodes[i])!r}"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("integrator", [integrate, integrate_plain])
+    @pytest.mark.parametrize(
+        "alpha, m, vals",
+        [(2.0, 8, [1e308] * 8), (2.0, 8, [-1e308] * 8), (0.0, 2, [1.7e308, -1.7e308])],
+        ids=["+overflow", "-overflow", "mixed-signs"],
+    )
+    def test_all_finite_values_return_the_plain_sum_even_if_not_finite(self, integrator, alpha, m, vals):
+        # The alpha = 2 weights sum to Gamma(3) = 2, so 1e308 at every node overflows; both
+        # plain weights of the 2-point alpha = 0 rule exceed 1.1, so each product overflows.
+        rule, vals = gauss_laguerre(alpha, m), np.array(vals)
+        weights = rule.weights if integrator is integrate else rule.plain_weights
+        expected = float(np.dot(weights, vals))
+        if alpha == 2.0 or integrator is integrate_plain:
+            assert not math.isfinite(expected)
+        got = integrator(rule, lambda x: vals)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_overflow_in_solve_is_refused_without_a_warning(self):
+        # L_238^{(1)} overflows at the far node of the 256-point rule.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                solve(builtin_problem("exp-decay"), 238)
+        assert str(exc.value) == "integrand returned nan at node x=990.8148070068848"
+
+    @pytest.mark.parametrize("alpha, m", [(0.0, 32), (0.0, 256), (1.0, 256), (0.5, 7)])
+    def test_plain_weights_are_one_read_only_array_per_rule(self, alpha, m):
+        rule = gauss_laguerre(alpha, m)
+        w = rule.plain_weights
+        ref = np.exp(rule.log_weights + rule.nodes - rule.alpha * np.log(rule.nodes))
+        assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert rule.plain_weights is w and gauss_laguerre(alpha, m).plain_weights is w
 
 
 class TestIntegratePlain:

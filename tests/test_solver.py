@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import mmap
+import re
 import threading
 import tracemalloc
 import types
@@ -275,12 +276,22 @@ class TestMoments:
     )
     def test_each_moment_is_the_one_line_integral_bit_for_bit(self, rhs):
         # The stage forms 4 f(2t) L_n(2t) from a read-only view of row n of the cached
-        # table; this reference builds the same product the plain way, one closure per attempt.
-        g, report, _ = _moments(rhs, 100)
-        for n in (0, 20, 100):
-            ref = integrate_adaptive(
-                lambda m: integrate(gauss_laguerre(1.0, m), lambda t: 4.0 * rhs(2.0 * t) * laguerre_eval_all(_L1, n, 2.0 * t)[n])
-            )
+        # table and sums it through integrate.  This reference runs neither: each attempt is
+        # one plain weighted sum, with a scalar-only rhs called node by node.
+        def f(x):
+            try:
+                return np.asarray(rhs(x), dtype=float)
+            except (TypeError, ValueError):
+                return np.array([float(rhs(float(v))) for v in x])
+
+        def value_at(n, m):
+            rule = gauss_laguerre(1.0, m)
+            x = 2.0 * rule.nodes
+            return float(np.dot(rule.weights, 4.0 * f(x) * laguerre_eval_all(_L1, n, x)[n]))
+
+        g, report, _ = _moments(rhs, 200)
+        for n in (0, 20, 100, 200):
+            ref = integrate_adaptive(lambda m: value_at(n, m))
             assert g[n] == ref.value and report[n] == ref
 
     @pytest.fixture(scope="class")
@@ -515,6 +526,41 @@ class TestSobolevError:
         sol = solve(BVProblem(lam=1.0, rhs=lambda x: np.exp(-x)), n_max=2)
         with pytest.raises(ValueError):
             sobolev_error(sol, 0)
+
+    def test_cap_overshoot_warning_names_the_capped_moments_and_norm_integrals(self):
+        # u = x cos(kx) / (1 + x)^p, the algebraic family, at n = 200.  Every moment hits the
+        # cap and their Parseval sum overshoots ||u||^2 (min -3.415e-5), while the norm's own
+        # quadrature, 0.11660791, is within 1.3e-7 of 30-digit mpmath (0.11660803) and the
+        # direct quadrature of the error reads +3.30e-5.  The clamp to 0.0 stays.
+        lam, k, p = 0.18439716574630327, 1.4316481587413588, 3
+
+        def f(x):
+            s, kx = 1.0 + x, k * x
+            return (
+                (p * (2.0 - (p - 1) * x) + (k * k * x + lam) * s * s) * np.cos(kx)
+                + 2.0 * k * s * (s - p * x) * np.sin(kx)
+            ) / s ** (p + 2)
+
+        def u(x):
+            return x * np.cos(k * x) / (1.0 + x) ** p
+
+        def du(x):
+            s, kx = 1.0 + x, k * x
+            return ((s - p * x) * np.cos(kx) - kx * s * np.sin(kx)) / s ** (p + 1)
+
+        sol = solve(BVProblem(lam=lam, rhs=f, exact=u, exact_deriv=du), 200)
+        with pytest.warns(UserWarning) as record:
+            assert sobolev_error(sol, 200) == 0.0
+        messages = [str(w.message) for w in record if w.category is UserWarning]
+        assert len(messages) == 1 and re.fullmatch(
+            r"sobolev_error went below -1e-08 \(min -3\.4\d\de-05\): 201 of 201 moments hit the "
+            r"quadrature cap; norm integrals converged: u_sq_over_x False, du_sq False; "
+            r"sobolev_error_direct integrates the error itself",
+            messages[0],
+        )
+        norm_sq = lam * sol.norm_report["u_sq_over_x"].value + sol.norm_report["du_sq"].value
+        assert abs(norm_sq - 0.11660803) <= 2e-7
+        assert sobolev_error_direct(sol, 200) == pytest.approx(3.30e-5, rel=0.01)
 
     def test_zero_problem_zero_error(self):
         sol = solve(

@@ -36,7 +36,7 @@ a_recur = connection_recurrence(lam, 10)
 for n in range(10):
     a_rec = a_recur[n]
     a_rat = basis.a[n]
-    asym = connection_asymptotic(lam, n) if n >= 1 else float("nan")
+    asym = connection_asymptotic(lam, n)
     print(f"  {n:>4} {a_rec:>20.15f} {a_rat:>20.15f} {asym:>20.15f}")
 
 print("\nSquared energy norms s(n) of S_n(x) x e^{-x/2}:")

@@ -159,7 +159,7 @@ def run_solve(args) -> int:
 def run_coeffs(args) -> int:
     a_rec = connection_recurrence(args.lam, args.n_max + 1)
     a_rat = connection_ratio(args.lam, args.n_max + 1)
-    asym = [math.nan] + [connection_asymptotic(args.lam, n) for n in range(1, args.n_max + 1)]
+    asym = [connection_asymptotic(args.lam, n) for n in range(args.n_max + 1)]
     out = args.out_dir
     _write_csv(out / "an_table.csv", "n,a_rec,a_ratio,abs_diff,a_asymptotic",
                range(args.n_max + 1), a_rec, a_rat, np.abs(a_rec - a_rat), asym)

@@ -14,7 +14,6 @@ import math
 import mmap
 import numbers
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,87 +87,56 @@ def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
 # cannot import), so every rule's nodes share their rows within and across
 # solves.  Larger grids are tabulated afresh.
 _CACHE_MAX_POINTS = 256
+# The stored tables' summed _cost stays within this many bytes.
+_CACHE_BUDGET = 8 << 20
+
+# Read-only, all-finite tables L_0..L_N keyed on (alpha, the float64 bytes of the
+# points), oldest first.  Only _cached_rows reads or writes it, and it writes only
+# under _PUBLISH.  Each table sits in its own anonymous memory map, outside the
+# malloc heap: long-lived entries there would pin the heap's top, so the freed
+# temporaries of every other caller would stay mapped and its later large
+# allocations would page-fault differently.  A map is sized to its table and
+# written once, before it is published; a deeper table replaces the entry with a
+# new map, so concurrent callers see a complete table or none.
+_TABLES: dict = {}
+_PUBLISH = threading.Lock()
 
 
-class _TableCache:
-    """Least-recently-used store of read-only, all-finite tables L_0..L_N, keyed on
-    (alpha, the float64 bytes of the points).
-
-    Each table sits in its own anonymous memory map, outside the malloc heap:
-    long-lived entries there would pin the heap's top, so the freed temporaries
-    of every other caller would stay mapped and its later large allocations
-    would page-fault differently.  A map is sized to its table and written once,
-    before it is published; a deeper table replaces the entry with a new map, so
-    concurrent callers see a complete table or none.  An entry costs its map's
-    whole pages, its key bytes and a fixed overhead, and the costs stay within
-    budget.
-    """
-
-    # Bytes charged per entry besides its pages and key: the dict slot and array header.
-    OVERHEAD = 256
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _cost(self, key, table) -> int:
-        return -(-table.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE + len(key[1]) + self.OVERHEAD
-
-    def get(self, key):
-        with self._lock:
-            table = self._entries.get(key)
-            if table is not None:
-                self._entries.move_to_end(key)
-            return table
-
-    def put(self, key, table: np.ndarray):
-        """Publish a read-only copy of table unless it is over the budget or the entry is
-        as deep; returns the entry now stored under key, or None if over the budget."""
-        cost = self._cost(key, table)
-        if cost > self.budget:
-            return None
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None and len(old) >= len(table):
-                return old
-            view = np.ndarray(table.shape, table.dtype, buffer=mmap.mmap(-1, table.nbytes))
-            view[:] = table
-            view.setflags(write=False)
-            if old is not None:
-                self.nbytes -= self._cost(key, old)
-            self._entries[key] = view
-            self._entries.move_to_end(key)
-            self.nbytes += cost
-            while self.nbytes > self.budget:
-                self.nbytes -= self._cost(*self._entries.popitem(last=False))
-            return view
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-_TABLES = _TableCache(8 << 20)
+def _cost(key, table) -> int:
+    """The bytes an entry is charged: its map's whole pages and its key's bytes."""
+    return -(-table.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE + len(key[1])
 
 
 def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
-    """A read-only (n_max+1) x len(xf) table: a view of the cached table of xf if that
-    is deep enough, else built whole and stored if every row is finite.
+    """A read-only (n_max+1) x len(xf) table: a view of the stored table of xf if that
+    is deep enough, else built whole and stored if every row is finite and it fits
+    the budget.
 
     A stored table is all-finite, so its points are: the finiteness check runs
-    only on a miss.  Hits copy nothing.
+    only on a miss.  Hits take no lock and copy nothing.
     """
     key = (alpha, xf.tobytes())
     head = _TABLES.get(key)
     if head is None or len(head) <= n_max:
         rows = _table(alpha, n_max, _check_finite_scalar_or_array(xf))
-        head = _TABLES.put(key, rows) if np.isfinite(rows).all() else None
-        if head is None:
+        if not np.isfinite(rows).all() or _cost(key, rows) > _CACHE_BUDGET:
             rows.setflags(write=False)
             return rows
+        head = np.ndarray(rows.shape, rows.dtype, buffer=mmap.mmap(-1, rows.nbytes))
+        head[:] = rows
+        head.setflags(write=False)
+        with _PUBLISH:
+            old = _TABLES.get(key)
+            if old is not None and len(old) >= len(head):
+                head = old
+            else:
+                # The new entry goes last, so it is never the one dropped.
+                _TABLES.pop(key, None)
+                _TABLES[key] = head
+                total = sum(map(_cost, _TABLES, _TABLES.values()))
+                while total > _CACHE_BUDGET:
+                    oldest = next(iter(_TABLES))
+                    total -= _cost(oldest, _TABLES.pop(oldest))
     return head[: n_max + 1]
 
 

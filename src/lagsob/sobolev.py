@@ -110,7 +110,7 @@ def connection_asymptotic(lam: float, n: int) -> float:
     finite where B^2 would overflow.
     """
     lam = _check_lam(lam)
-    n = _check_order("n", n, 1)
+    n = _check_order("n", n)
     b = 4.0 * lam + 2.0 * n + 2.0
     return 2.0 * (n + 2) / (b * (1.0 + math.sqrt(1.0 - 4.0 * n * (n + 2) / b / b)))
 

@@ -216,7 +216,7 @@ class TestCoeffsCommand:
         a_rec = [float(r[1]) for r in rows]
         assert a_rec == pytest.approx([1 / 3, 9 / 23, 23 / 53], abs=1e-15)
         assert all(float(r[3]) <= 1e-12 for r in rows)
-        assert rows[0][4] == "nan"
+        assert rows[0][4] == rows[0][1]  # the fixed point at n = 0 is a_0
 
     def test_lambda_flows_through(self, tmp_path):
         assert main(["coeffs", "--lambda", "2", "--nmax", "1", "--out-dir", str(tmp_path)]) == 0
@@ -227,7 +227,6 @@ class TestCoeffsCommand:
     def test_large_lambda_stays_finite(self, tmp_path, lam):
         # L_n^{(1)}(-4000) leaves double range from n = 170 on, and one step
         # at -4e200 multiplies by ~4e200; the ratio column must stay finite.
-        # a_asymptotic is nan by definition at n = 0 only.
         assert main(["coeffs", "--lambda", lam, "--nmax", "400",
                      "--out-dir", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "an_table.csv")
@@ -236,7 +235,7 @@ class TestCoeffsCommand:
             a_rec, a_rat, diff = (float(v) for v in r[1:4])
             assert all(math.isfinite(v) for v in (a_rec, a_rat, diff))
             assert diff <= 1e-10 * a_rec
-        assert all(math.isfinite(float(r[4])) for r in rows[1:])
+        assert all(0.0 < float(r[4]) < 1.0 for r in rows)
 
     @pytest.mark.parametrize("lam", ["1e-14", "3e-15"])
     def test_tiny_lambda_ratio_column_stays_below_one(self, tmp_path, lam):
@@ -461,10 +460,10 @@ class TestColumnWriter:
         a_rec, a_rat = connection_recurrence(3.0, 41), connection_ratio(3.0, 41)
         rows = []
         for n in range(41):
-            asym = connection_asymptotic(3.0, n) if n >= 1 else math.nan
+            asym = connection_asymptotic(3.0, n)
             rows.append([str(n), _fmt(a_rec[n]), _fmt(a_rat[n]),
                          _fmt(abs(a_rec[n] - a_rat[n])), _fmt(asym)])
-        assert rows[0][4] == "nan"
+        assert rows[0][4] == rows[0][1]
         assert (tmp_path / "an_table.csv").read_bytes() == reference_csv(
             "n,a_rec,a_ratio,abs_diff,a_asymptotic", rows)
 

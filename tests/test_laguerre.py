@@ -1,6 +1,7 @@
 """Laguerre polynomial identities against independent brute-force oracles."""
 
 import math
+import mmap
 import re
 import sys
 import threading
@@ -33,7 +34,7 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
-from lagsob.laguerre import _CACHE_MAX_POINTS, _TABLES, COEFF_MODE_MAX_DEGREE, _check_order
+from lagsob.laguerre import _CACHE_BUDGET, _CACHE_MAX_POINTS, _TABLES, COEFF_MODE_MAX_DEGREE, _check_order, _cost
 from lagsob.quadrature import M_MAX
 
 GRID = np.linspace(-10.0, 40.0, 50)
@@ -242,7 +243,7 @@ class TestTableCache:
                 assert got.shape == ref.shape and got.dtype == ref.dtype
                 assert np.array_equal(got, ref, equal_nan=True)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
-                assert all(np.isfinite(t).all() and not t.flags.writeable for t in _TABLES._entries.values())
+                assert all(np.isfinite(t).all() and not t.flags.writeable for t in _TABLES.values())
         finally:
             _TABLES.clear()
 
@@ -256,7 +257,7 @@ class TestTableCache:
             laguerre_eval(_L1, 25, x),  # one row of it
             laguerre_eval_all(_L1, 30, x.reshape(1, m)),  # the same points in another shape
         ]
-        (stored,) = cold_tables._entries.values()
+        (stored,) = cold_tables.values()
         expected = reference_eval_all(_L1, 30, x)
         for table in results:
             assert not table.flags.writeable and np.shares_memory(table, stored)
@@ -291,7 +292,7 @@ class TestTableCache:
             for n_max in (0, 10):
                 with pytest.raises(ValueError, match="evaluation point must be finite"):
                     laguerre_eval_all(_L1, n_max, y)
-        assert len(cold_tables._entries) == 4
+        assert len(cold_tables) == 4
 
     def test_published_rows_are_never_written(self, cold_tables):
         x = gauss_laguerre(1.0, 64).nodes
@@ -304,7 +305,6 @@ class TestTableCache:
             assert len(table) == depth + 1 and not table.flags.writeable
             # A deeper call builds its table whole into a new map of exactly the table's bytes.
             assert len(table.base) == table.nbytes and table.base is not held.base
-            assert cold_tables.nbytes == sum(cold_tables._cost(k, t) for k, t in cold_tables._entries.items())
             assert np.array_equal(held, reference_eval_all(_L1, 30, x))
         assert np.array_equal(table, reference_eval_all(_L1, 200, x))
 
@@ -340,7 +340,7 @@ class TestTableCache:
     def test_scalars_and_large_grids_bypass_the_cache(self, cold_tables):
         laguerre_eval_all(_L1, 30, 0.5)
         laguerre_eval_all(_L1, 30, np.linspace(0.0, 20.0, _CACHE_MAX_POINTS + 1))
-        assert not cold_tables._entries and cold_tables.nbytes == 0
+        assert not cold_tables
 
     def test_overflowing_tables_are_recomputed_and_warn_each_time(self, cold_tables):
         x = np.array([1.0, 3000.0])  # rows turn inf at n = 193 at the far point
@@ -351,15 +351,26 @@ class TestTableCache:
             with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="overflow"):
                 got = laguerre_eval_all(_L1, 240, x)
             assert np.array_equal(got, ref, equal_nan=True)
-            assert [len(t) for t in cold_tables._entries.values()] == ([] if depth is None else [101])
+            assert [len(t) for t in cold_tables.values()] == ([] if depth is None else [101])
 
     def test_a_table_over_the_budget_is_returned_not_stored(self, cold_tables):
         x = np.linspace(0.01, 1.0, _CACHE_MAX_POINTS)
-        n_max = cold_tables.budget // x.nbytes
+        n_max = _CACHE_BUDGET // x.nbytes
         got = laguerre_eval_all(_L1, n_max, x)
-        assert got.nbytes > cold_tables.budget
+        assert got.nbytes > _CACHE_BUDGET
         assert np.array_equal(got, reference_eval_all(_L1, n_max, x))
-        assert not cold_tables._entries and cold_tables.nbytes == 0
+        assert not cold_tables
+
+    def test_tiny_tables_are_charged_whole_pages(self, cold_tables):
+        # Each one-point table is 8 bytes but holds a page of its own, so the
+        # page-granular charge is what bounds how many maps the store keeps.
+        for i in range(3000):
+            laguerre_eval_all(_L1, 0, np.array([float(i)]))
+        assert 0 < len(cold_tables) <= _CACHE_BUDGET // mmap.PAGESIZE
+        assert sum(_cost(k, t) for k, t in cold_tables.items()) <= _CACHE_BUDGET
+        # Oldest first: the newest point sets are the ones kept, in call order.
+        kept = range(3000 - len(cold_tables), 3000)
+        assert [key[1] for key in cold_tables] == [np.array([float(i)]).tobytes() for i in kept]
 
 
 _L1 = LaguerreFamily(1.0)
@@ -378,7 +389,7 @@ ORDER_CALLS = {
     "sobolev_basis": ("n_max", 0, lambda n: sobolev_basis(1.0, n).s),
     "connection_recurrence": ("n_max", 1, lambda n: connection_recurrence(1.0, n)),
     "connection_ratio": ("n_max", 1, lambda n: connection_ratio(1.0, n)),
-    "connection_asymptotic": ("n", 1, lambda n: connection_asymptotic(1.0, n)),
+    "connection_asymptotic": ("n", 0, lambda n: connection_asymptotic(1.0, n)),
     "sobolev_eval_all": ("n", 0, lambda n: sobolev_eval_all(_BASIS, n, 0.5)),
     "sobolev_coeffs": ("n", 0, lambda n: sobolev_coeffs(_BASIS, n).coef),
     "alternating_sum_check": ("n", 0, lambda n: alternating_sum_check(_BASIS, n, 0.5)),

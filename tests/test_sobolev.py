@@ -222,6 +222,8 @@ class TestAsymptotics:
                 return float((b - mpmath.sqrt(b * b - 4 * n * (n + 2))) / (2 * n))
 
         assert connection_asymptotic(1.0, 4) == pytest.approx(0.5, rel=1e-15)
+        for lam in (1e-15, 1e-3, 1.0, 1e3, 1e200):
+            assert connection_asymptotic(lam, 0) == connection_recurrence(lam, 1)[0] == 2.0 / (4.0 * lam + 2.0)
         for lam, n in [(1.0, 1), (1.0, 10**4), (1000.0, 100), (1e-3, 7)]:
             assert connection_asymptotic(lam, n) == pytest.approx(root(lam, n), rel=1e-15)
 

@@ -352,7 +352,7 @@ class TestTableReuse:
         monkeypatch.setattr(laguerre, "mmap", types.SimpleNamespace(mmap=counting_mmap, PAGESIZE=mmap.PAGESIZE))
         monkeypatch.setattr(laguerre, "_table", counting_table)
         solve(builtin_problem("exp-decay"), n_max)
-        tables = list(laguerre._TABLES._entries.values())
+        tables = list(laguerre._TABLES.values())
         assert len(tables) == 4
         # The deepest index comes first, so each node set maps its whole table once.
         assert sorted(maps) == sorted(t.nbytes for t in tables)
@@ -361,18 +361,21 @@ class TestTableReuse:
         assert sum(computed) == 4 * n_max
 
     def test_cache_stays_within_its_budget(self):
-        cache = laguerre._TABLES
+        tables = laguerre._TABLES
+
+        def stored_bytes():
+            return sum(laguerre._cost(k, t) for k, t in tables.items())
+
         sol = solve(builtin_problem("exp-decay"), 237)
         sobolev_error_direct(sol, 237)
-        assert 0 < cache.nbytes <= cache.budget
+        assert 0 < stored_bytes() <= laguerre._CACHE_BUDGET
         rng = np.random.default_rng(3)
         for _ in range(100):
             laguerre_eval_all(LaguerreFamily(1.0), 237, rng.uniform(0.0, 50.0, 256))
-            assert cache.nbytes <= cache.budget
-        assert cache.nbytes == sum(cache._cost(k, t) for k, t in cache._entries.items())
-        entries = [(key, id(table)) for key, table in cache._entries.items()]
+            assert stored_bytes() <= laguerre._CACHE_BUDGET
+        entries = [(key, id(table)) for key, table in tables.items()]
         laguerre_eval_all(LaguerreFamily(1.0), 237, np.linspace(0.0, 50.0, 20_000))
-        assert [(key, id(table)) for key, table in cache._entries.items()] == entries
+        assert [(key, id(table)) for key, table in tables.items()] == entries
 
     def test_a_warm_solve_retains_nothing(self):
         # Long-lived heap arrays shift the page faults of every later caller, so

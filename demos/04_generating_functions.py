@@ -30,6 +30,6 @@ for lam, x, omega in [
     (1.0, 3.0, 0.8),
 ]:
     basis = sobolev_basis(lam, 900)
-    lhs, rhs = gen_fun_sobolev(basis, x, omega, 900)
+    lhs, rhs = gen_fun_sobolev(basis, x, omega)
     rel = abs(lhs - rhs) / abs(rhs)
     print(f"  {lam:>5} {x:>5} {omega:>7} {lhs:>22.15e} {rhs:>22.15e} {rel:>10.1e}")

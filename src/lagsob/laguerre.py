@@ -87,24 +87,33 @@ def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
 # cannot import), so every rule's nodes share their rows within and across
 # solves.  Larger grids are tabulated afresh.
 _CACHE_MAX_POINTS = 256
-# The stored tables' summed _cost stays within this many bytes.
+# _charge, the stored tables' summed _cost, stays within this many bytes.
 _CACHE_BUDGET = 8 << 20
 
 # Read-only, all-finite tables L_0..L_N keyed on (alpha, the float64 bytes of the
-# points), oldest first.  Only _cached_rows reads or writes it, and it writes only
-# under _PUBLISH.  Each table sits in its own anonymous memory map, outside the
-# malloc heap: long-lived entries there would pin the heap's top, so the freed
+# points), oldest first.  Only _cached_rows and _clear_tables write it or _charge,
+# and only under _PUBLISH.  Each table sits in its own anonymous memory map, outside
+# the malloc heap: long-lived entries there would pin the heap's top, so the freed
 # temporaries of every other caller would stay mapped and its later large
 # allocations would page-fault differently.  A map is sized to its table and
 # written once, before it is published; a deeper table replaces the entry with a
 # new map, so concurrent callers see a complete table or none.
 _TABLES: dict = {}
+_charge = 0
 _PUBLISH = threading.Lock()
 
 
 def _cost(key, table) -> int:
     """The bytes an entry is charged: its map's whole pages and its key's bytes."""
     return -(-table.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE + len(key[1])
+
+
+def _clear_tables() -> None:
+    """Drop every stored table and its charge."""
+    global _charge
+    with _PUBLISH:
+        _TABLES.clear()
+        _charge = 0
 
 
 def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
@@ -115,6 +124,7 @@ def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
     A stored table is all-finite, so its points are: the finiteness check runs
     only on a miss.  Hits take no lock and copy nothing.
     """
+    global _charge
     key = (alpha, xf.tobytes())
     head = _TABLES.get(key)
     if head is None or len(head) <= n_max:
@@ -131,12 +141,13 @@ def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
                 head = old
             else:
                 # The new entry goes last, so it is never the one dropped.
-                _TABLES.pop(key, None)
+                if old is not None:
+                    _charge -= _cost(key, _TABLES.pop(key))
                 _TABLES[key] = head
-                total = sum(map(_cost, _TABLES, _TABLES.values()))
-                while total > _CACHE_BUDGET:
+                _charge += _cost(key, head)
+                while _charge > _CACHE_BUDGET:
                     oldest = next(iter(_TABLES))
-                    total -= _cost(oldest, _TABLES.pop(oldest))
+                    _charge -= _cost(oldest, _TABLES.pop(oldest))
     return head[: n_max + 1]
 
 
@@ -180,16 +191,19 @@ def laguerre_coeffs(family: LaguerreFamily, n: int) -> np.polynomial.Polynomial:
     """L_n^{(alpha)} as a numpy Polynomial: monomial coefficients, ascending powers.
 
     c_0 = binom(n+alpha, n) and c_{k+1}/c_k = -(n-k) / ((k+1)(k+alpha+1)),
-    so the whole vector follows from one ratio sweep.  Rejected for n > 170
-    where binom(n+alpha, n) leaves double range (use the recurrence
-    evaluation instead, which has no such limit).
+    so the whole vector follows from one ratio sweep.  Rejected for n > 170,
+    and with a ValueError wherever binom(n+alpha, n) leaves double range (use
+    the recurrence evaluation instead, which has no such limit).
     """
     n = _check_order("n", n, hi=COEFF_MODE_MAX_DEGREE)
     alpha = family.alpha
-    if alpha == int(alpha) and alpha >= 0:
-        c0 = float(math.comb(n + int(alpha), n))
-    else:
-        c0 = math.exp(math.lgamma(n + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(n + 1))
+    try:
+        if alpha == int(alpha) and alpha >= 0:
+            c0 = float(math.comb(n + int(alpha), n))
+        else:
+            c0 = math.exp(math.lgamma(n + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(n + 1))
+    except OverflowError:
+        raise ValueError(f"c_0 = binom(n+alpha, n) leaves double range at alpha={alpha!r}, n={n}") from None
     c = np.empty(n + 1)
     c[0] = c0
     for k in range(n):

@@ -18,7 +18,7 @@ recurrence; it is kept as the independent check on the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,10 +70,7 @@ def connection_recurrence(lam: float, n_max: int) -> np.ndarray:
     a = np.empty(n_max)
     a[0] = 2.0 / (4.0 * lam + 2.0)
     for n in range(1, n_max):
-        denom = 4.0 * lam + 2.0 * (n + 1) - n * a[n - 1]
-        if denom <= 0.0:
-            raise RuntimeError(f"nonpositive denominator at n={n}; lam={lam} invalid?")
-        a[n] = (n + 2) / denom
+        a[n] = (n + 2) / (4.0 * lam + 2.0 * (n + 1) - n * a[n - 1])
     return _checked_connection(a, lam)
 
 
@@ -117,18 +114,19 @@ def connection_asymptotic(lam: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SobolevBasis:
-    """Connection coefficients a_0, a_1, ... and squared energy norms s(0)..s(N) at lam."""
+    """Connection coefficients a_0..a_N at lam, and the read-only squared energy norms
+    s(n) = (n+1)(n+2)/(4 a_n) they fix: the closed form of a_n s(n) = (n+1)(n+2)/4."""
 
     lam: float
     a: np.ndarray
-    s: np.ndarray
+    s: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        s = np.array(self.s, dtype=float)
-        if not np.all(s > 0.0):
-            raise RuntimeError("squared norms must be positive; connection sequence is broken")
+        a = _checked_connection(self.a)
+        n = np.arange(a.size, dtype=float)
+        s = (n + 1.0) * (n + 2.0) / (4.0 * a)
         s.setflags(write=False)
-        object.__setattr__(self, "a", _checked_connection(self.a))
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "s", s)
 
     @property
@@ -137,17 +135,11 @@ class SobolevBasis:
 
 
 def sobolev_basis(lam: float, n_max: int) -> SobolevBasis:
-    """Build the basis data for S_0..S_{n_max}: a_0..a_{n_max} and s(0)..s(n_max).
-
-    The a_n come from one connection_ratio sweep, and s(n) = (n+1)(n+2)/(4 a_n)
-    is the closed form of the projection coefficient a_n s(n) = (n+1)(n+2)/4;
-    so a_{n_max}, which S_0..S_{n_max} do not need, gives s(n_max).
-    """
+    """The basis of S_0..S_{n_max} from one connection_ratio sweep: a_0..a_{n_max},
+    where a_{n_max}, which S_0..S_{n_max} do not need, gives s(n_max)."""
     lam = _check_lam(lam)
     n_max = _check_order("n_max", n_max)
-    a = connection_ratio(lam, n_max + 1)
-    n = np.arange(n_max + 1.0)
-    return SobolevBasis(lam=lam, a=a, s=(n + 1.0) * (n + 2.0) / (4.0 * a))
+    return SobolevBasis(lam, connection_ratio(lam, n_max + 1))
 
 
 def _connect(a, table: np.ndarray) -> np.ndarray:
@@ -218,26 +210,25 @@ def _bilinear_closed_form(alpha: float, x: float, y: float, omega: float) -> flo
     return scale * prod ** (-alpha / 2.0) * bessel_j(alpha, 2.0 * math.sqrt(prod) / (1.0 - omega))
 
 
-def gen_fun_sobolev(basis: SobolevBasis, x: float, omega: float, n_trunc: int):
+def gen_fun_sobolev(basis: SobolevBasis, x: float, omega: float):
     """Both sides of the Sobolev generating function; returns (series, closed form).
 
     With P_n = L_n^{(1)}(-4 lam)/(n+1), sum_n S_n(x) P_n w^n is hardy_hille_check's
     sum at alpha = 1, y = -4 lam, over 1 + w: the connection telescopes into
     S_n P_n = sum_{k<=n} (-1)^{n-k} P_k L_k^{(1)}(x), and the sums over n >= k give 1/(1+w).
-    The series side is truncated at n_trunc; callers pick n_trunc so the tail
-    is negligible (terms decay geometrically for w <= 0.8).
+    The series side runs over n <= basis.n_max; callers pick that depth so the
+    tail is negligible (terms decay geometrically for w <= 0.8).
     """
     if not (0.0 < omega <= 0.8):
         raise ValueError(f"omega must lie in (0, 0.8], got {omega!r}")
     if not (x > 0.0):
         raise ValueError(f"x must be > 0, got {x!r}")
-    n_trunc = _check_order("n_trunc", n_trunc, hi=basis.n_max)
 
     # P_n w^n = w^n/(a_0 ... a_{n-1}).
     # At large lam the weights leave double range: fail the check, do not warn.
     with np.errstate(over="raise", invalid="raise"):
-        weights = np.append(1.0, np.cumprod(omega / basis.a[:n_trunc]))
-        lhs = float(np.dot(weights, sobolev_eval_all(basis, n_trunc, x)))
+        weights = np.append(1.0, np.cumprod(omega / basis.a[:-1]))
+        lhs = float(np.dot(weights, sobolev_eval_all(basis, basis.n_max, x)))
     return lhs, _bilinear_closed_form(1.0, x, -4.0 * basis.lam, omega) / (1.0 + omega)
 
 

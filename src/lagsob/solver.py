@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .laguerre import LaguerreFamily, _check_finite_scalar_or_array, _check_order, laguerre_eval_all
+from .laguerre import _check_finite_scalar_or_array, _check_order, laguerre_eval_all
 from .quadrature import (
     AdaptiveResult,
     _vectorised,
@@ -31,7 +31,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_plain,
 )
-from .sobolev import SobolevBasis, _connect, sobolev_basis, sobolev_eval_all
+from .sobolev import _L1, SobolevBasis, _connect, sobolev_basis, sobolev_eval_all
 
 __all__ = [
     "BVProblem",
@@ -43,8 +43,6 @@ __all__ = [
     "sobolev_error_direct",
     "builtin_problem",
 ]
-
-_L1 = LaguerreFamily(1.0)
 
 DEFAULT_N_MAX = 20
 
@@ -73,16 +71,18 @@ class SpectralSolution:
     """Per-index solver state: Laguerre moments g, Sobolev moments, coefficients."""
 
     basis: SobolevBasis
-    n_max: int
     g: np.ndarray
     fhat: np.ndarray
     uhat: np.ndarray
     quad_report: list
     problem: BVProblem
     integrand_evals: int = 0
-    recurrence_steps: int = 0
     norm_report: dict = field(default_factory=dict)
     _eps: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def n_max(self) -> int:
+        return self.basis.n_max
 
     @property
     def quad_converged(self) -> bool:
@@ -139,20 +139,17 @@ def _moments(rhs: Callable, n_max: int):
 def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
     """Coefficients uhat_0..uhat_{n_max}: the lam-free moments g of _moments, then the
     basis's connection fhat(n) = g(n) - a_{n-1} fhat(n-1) and uhat = fhat / s."""
-    n_max = _check_order("n_max", n_max)
     basis = sobolev_basis(problem.lam, n_max)
-    g, report, evals = _moments(problem.rhs, n_max)
+    g, report, evals = _moments(problem.rhs, basis.n_max)
     fhat = _connect(basis.a, g.copy())
     return SpectralSolution(
         basis=basis,
-        n_max=n_max,
         g=g,
         fhat=fhat,
         uhat=fhat / basis.s,
         quad_report=report,
         problem=problem,
         integrand_evals=evals,
-        recurrence_steps=n_max,
     )
 
 
@@ -262,9 +259,7 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
                 stacklevel=2,
             )
         elif np.any(eps < 0.0):
-            warnings.warn(
-                "sobolev_error clamped small negative values to zero", stacklevel=2
-            )
+            warnings.warn("sobolev_error clamped small negative values to zero", stacklevel=2)
         sol._eps = np.maximum(eps, 0.0)
     return float(sol._eps[n])
 

@@ -22,6 +22,7 @@ from .laguerre import (
 )
 from .quadrature import _rules, gauss_laguerre
 from .sobolev import (
+    _L1,
     _connect,
     alternating_sum_check,
     connection_ratio,
@@ -104,10 +105,9 @@ def _gram_errors(gram, norms, scale=1.0):
 
 def _suite_gram_laguerre(lam):
     n_max = 25
-    fam = LaguerreFamily(1.0)
     rule = gauss_laguerre(1.0, n_max + 1)
-    vals = laguerre_eval_all(fam, n_max, rule.nodes)
-    norms = [laguerre_norm_sq(fam, n) for n in range(n_max + 1)]
+    vals = laguerre_eval_all(_L1, n_max, rule.nodes)
+    norms = [laguerre_norm_sq(_L1, n) for n in range(n_max + 1)]
     diag_err, off_max = _gram_errors((vals * rule.weights) @ vals.T, norms)
     ok = diag_err <= 1e-9 and off_max <= 1e-9
     return ok, f"diag rel err {diag_err:.2e}, max off-diagonal {off_max:.2e} (tol 1e-9)"
@@ -174,7 +174,7 @@ def _suite_gen_fun(lam):
     basis = sobolev_basis(lam, 700)
     worst = 0.0
     for x, omega in [(1.0, 0.3), (2.0, 0.5), (0.5, 0.7), (1.5, 0.2)]:
-        lhs, rhs = gen_fun_sobolev(basis, x, omega, 700)
+        lhs, rhs = gen_fun_sobolev(basis, x, omega)
         worst = np.maximum(worst, abs(lhs - rhs) / (abs(rhs) + 1e-300))
     return worst <= 1e-8, f"max relative mismatch {worst:.2e} (tol 1e-8)"
 

@@ -294,12 +294,11 @@ class TestValidateCommand:
         assert main(["validate", "--lambda", "2"]) == 0
 
     def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
-        # a_0 off by 1e-6, norms recomputed from the shifted sequence by a_n s(n) = (n+1)(n+2)/4.
+        # a_0 off by 1e-6; the basis derives its norms from the shifted sequence.
         def shifted_basis(lam, n_max):
             a = sobolev_basis(lam, n_max).a.copy()
             a[0] += 1e-6
-            n = np.arange(n_max + 1.0)
-            return SobolevBasis(lam=lam, a=a, s=(n + 1.0) * (n + 2.0) / (4.0 * a))
+            return SobolevBasis(lam=lam, a=a)
 
         monkeypatch.setattr("lagsob.validation.sobolev_basis", shifted_basis)
         assert main(["validate"]) == 1

@@ -22,8 +22,8 @@ from lagsob import (
     connection_ratio,
     connection_recurrence,
     gauss_laguerre,
-    gen_fun_sobolev,
     hardy_hille_check,
+    laguerre,
     laguerre_coeffs,
     laguerre_derivative,
     laguerre_eval,
@@ -34,7 +34,15 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
-from lagsob.laguerre import _CACHE_BUDGET, _CACHE_MAX_POINTS, _TABLES, COEFF_MODE_MAX_DEGREE, _check_order, _cost
+from lagsob.laguerre import (
+    _CACHE_BUDGET,
+    _CACHE_MAX_POINTS,
+    _TABLES,
+    COEFF_MODE_MAX_DEGREE,
+    _check_order,
+    _clear_tables,
+    _cost,
+)
 from lagsob.quadrature import M_MAX
 
 GRID = np.linspace(-10.0, 40.0, 50)
@@ -189,9 +197,13 @@ class TestKernelIsReference:
 @pytest.fixture
 def cold_tables():
     """An empty table cache before and after the test."""
-    _TABLES.clear()
+    _clear_tables()
     yield _TABLES
-    _TABLES.clear()
+    _clear_tables()
+
+
+def stored_cost(tables):
+    return sum(_cost(k, t) for k, t in tables.items())
 
 
 # Shared points: tables on [-50, 1000] stay finite to n = 240; at 3000 they
@@ -233,7 +245,7 @@ class TestTableCache:
         )
     )
     def test_interleaved_calls_match_the_reference(self, calls):
-        _TABLES.clear()
+        _clear_tables()
         try:
             for alpha, n_max, view in calls:
                 fam, x = LaguerreFamily(alpha), _VIEWS[view]()
@@ -244,8 +256,9 @@ class TestTableCache:
                 assert np.array_equal(got, ref, equal_nan=True)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
                 assert all(np.isfinite(t).all() and not t.flags.writeable for t in _TABLES.values())
+                assert laguerre._charge == stored_cost(_TABLES)
         finally:
-            _TABLES.clear()
+            _clear_tables()
 
     @pytest.mark.parametrize("m", [1, 64, 256])
     def test_small_point_sets_get_read_only_views_of_the_stored_table(self, cold_tables, m):
@@ -321,7 +334,7 @@ class TestTableCache:
         sys.setswitchinterval(1e-6)  # switch threads between most calls
         try:
             for _ in range(3):
-                cold_tables.clear()
+                _clear_tables()
                 barrier, outs = threading.Barrier(2), ([], [])
                 # One thread asks for the even depths, the other for the odd ones.
                 threads = [threading.Thread(target=grow, args=(range(s, 201, 2), barrier, outs[s])) for s in (0, 1)]
@@ -367,10 +380,31 @@ class TestTableCache:
         for i in range(3000):
             laguerre_eval_all(_L1, 0, np.array([float(i)]))
         assert 0 < len(cold_tables) <= _CACHE_BUDGET // mmap.PAGESIZE
-        assert sum(_cost(k, t) for k, t in cold_tables.items()) <= _CACHE_BUDGET
+        assert stored_cost(cold_tables) <= _CACHE_BUDGET
         # Oldest first: the newest point sets are the ones kept, in call order.
         kept = range(3000 - len(cold_tables), 3000)
         assert [key[1] for key in cold_tables] == [np.array([float(i)]).tobytes() for i in kept]
+
+    def test_the_running_charge_is_the_stored_cost(self, cold_tables, monkeypatch):
+        # The store keeps a running charge, so a miss with the store full costs
+        # the new entry's _cost and the dropped ones', not a sum over every entry.
+        for i in range(3000):
+            laguerre_eval_all(_L1, 0, np.array([float(i)]))
+        assert laguerre._charge == stored_cost(cold_tables)
+        calls = []
+
+        def counting(key, table):
+            calls.append(key)
+            return _cost(key, table)
+
+        monkeypatch.setattr(laguerre, "_cost", counting)
+        laguerre_eval_all(_L1, 0, np.array([3000.0]))
+        assert 0 < len(calls) <= 3
+        # A deeper table replaces its shallower entry, and the charge follows.
+        laguerre_eval_all(_L1, 5, np.array([3000.0]))
+        monkeypatch.undo()
+        assert len(cold_tables[(1.0, np.array([3000.0]).tobytes())]) == 6
+        assert laguerre._charge == stored_cost(cold_tables) <= _CACHE_BUDGET
 
 
 _L1 = LaguerreFamily(1.0)
@@ -393,7 +427,6 @@ ORDER_CALLS = {
     "sobolev_eval_all": ("n", 0, lambda n: sobolev_eval_all(_BASIS, n, 0.5)),
     "sobolev_coeffs": ("n", 0, lambda n: sobolev_coeffs(_BASIS, n).coef),
     "alternating_sum_check": ("n", 0, lambda n: alternating_sum_check(_BASIS, n, 0.5)),
-    "gen_fun_sobolev": ("n_trunc", 0, lambda n: gen_fun_sobolev(_BASIS, 0.5, 0.3, n)),
     "hardy_hille_check": ("n_trunc", 0, lambda n: hardy_hille_check(1.0, 0.5, 0.5, -0.25, n)),
     "gauss_laguerre": ("rule size m", 1, lambda m: gauss_laguerre(1.0, m).nodes),
 }
@@ -404,7 +437,6 @@ ORDER_HI = {
     "sobolev_eval_all": _BASIS.n_max,
     "sobolev_coeffs": _BASIS.n_max,
     "alternating_sum_check": _BASIS.n_max,
-    "gen_fun_sobolev": _BASIS.n_max,
     "gauss_laguerre": M_MAX,
 }
 
@@ -512,6 +544,15 @@ class TestCoeffs:
             laguerre_coeffs(fam, 171)
         # recurrence evaluation keeps working beyond the cap
         assert np.isfinite(laguerre_eval(fam, 400, -4.0))
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e4 + 0.5], ids=["integer", "non-integer"])
+    def test_c0_outside_double_range_names_alpha_and_n(self, alpha):
+        # binom(170 + 1e4, 170) ~ 1e429; both forms of c_0 leave double range.
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, n=170")):
+            laguerre_coeffs(LaguerreFamily(alpha), 170)
+        # At n = 40, c_0 ~ 1.3e112 is finite and the sweep ends on (-1)^n / n!.
+        c = laguerre_coeffs(LaguerreFamily(alpha), 40).coef
+        assert np.isfinite(c).all() and c[-1] == pytest.approx(1.0 / math.factorial(40), rel=1e-13)
 
 
 class TestNorm:

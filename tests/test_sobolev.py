@@ -191,26 +191,26 @@ class TestConnectionSequence:
 
 
 class TestSobolevBasisChecks:
-    A, S = [0.3, 0.4], [1.5, 3.8]
+    A = [0.3, 0.4]
 
     def test_accepts_and_copies_valid_data(self):
         a = np.array(self.A)
-        basis = SobolevBasis(lam=1.0, a=a, s=self.S)
+        basis = SobolevBasis(lam=1.0, a=a)
         a[0] = 0.9
-        assert basis.a.tolist() == self.A and basis.s.tolist() == self.S
+        # s(n) = (n+1)(n+2)/(4 a_n), from the copied a.
+        assert basis.a.tolist() == self.A and basis.s.tolist() == [2.0 / (4.0 * 0.3), 6.0 / (4.0 * 0.4)]
+        assert basis.n_max == 1
+        with pytest.raises(ValueError):
+            basis.s[0] = 1.0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_rejects_a_outside_open_unit_interval(self, bad):
         with pytest.raises(RuntimeError, match="left \\(0, 1\\)"):
-            SobolevBasis(lam=1.0, a=[0.3, bad], s=self.S)
-
-    def test_rejects_nonpositive_norm(self):
-        with pytest.raises(RuntimeError, match="positive"):
-            SobolevBasis(lam=1.0, a=self.A, s=[1.5, 0.0])
+            SobolevBasis(lam=1.0, a=[0.3, bad])
 
     def test_rejects_empty_connection(self):
         with pytest.raises(ValueError, match="at least a_0"):
-            SobolevBasis(lam=1.0, a=[], s=self.S)
+            SobolevBasis(lam=1.0, a=[])
 
 
 class TestAsymptotics:
@@ -405,7 +405,7 @@ class TestAlternatingSum:
         good = sobolev_basis(1.0, 20)
         a = good.a.copy()
         a[0] += 1e-6
-        bad = SobolevBasis(lam=1.0, a=a, s=good.s)
+        bad = SobolevBasis(lam=1.0, a=a)
         assert alternating_sum_check(good, 5, 1.0) <= 1e-12
         assert alternating_sum_check(bad, 5, 1.0) > 1e-10
 
@@ -421,7 +421,7 @@ class TestAlternatingSum:
 class TestGeneratingFunctions:
     def test_sobolev_small_omega_limit(self):
         basis = sobolev_basis(1.0, 10)
-        lhs, rhs = gen_fun_sobolev(basis, 1.0, 1e-8, 10)
+        lhs, rhs = gen_fun_sobolev(basis, 1.0, 1e-8)
         assert lhs == pytest.approx(1.0, abs=1e-6)
         assert rhs == pytest.approx(1.0, abs=1e-6)
 
@@ -431,17 +431,17 @@ class TestGeneratingFunctions:
     )
     def test_sobolev_series_matches_closed_form(self, lam, x, omega):
         basis = sobolev_basis(lam, 700)
-        lhs, rhs = gen_fun_sobolev(basis, x, omega, 700)
+        lhs, rhs = gen_fun_sobolev(basis, x, omega)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 
     def test_sobolev_rejects_out_of_range(self):
         basis = sobolev_basis(1.0, 10)
         with pytest.raises(ValueError):
-            gen_fun_sobolev(basis, 1.0, 0.9, 10)
+            gen_fun_sobolev(basis, 1.0, 0.9)
         with pytest.raises(ValueError):
-            gen_fun_sobolev(basis, 1.0, 0.0, 10)
+            gen_fun_sobolev(basis, 1.0, 0.0)
         with pytest.raises(ValueError):
-            gen_fun_sobolev(basis, -1.0, 0.3, 10)
+            gen_fun_sobolev(basis, -1.0, 0.3)
 
     def test_hardy_hille_small_omega_limit(self):
         lhs, rhs = hardy_hille_check(1.0, 2.0, 3.0, -1e-9, 50)
@@ -508,7 +508,7 @@ class TestGeneratingFunctions:
         # Both sides come back as Python floats, and the Sobolev closed form is
         # the alpha = 1 bilinear one at y = -4 lam over 1 + w, bit for bit.
         basis = sobolev_basis(2.0, 60)
-        lhs, rhs = gen_fun_sobolev(basis, 1.5, 0.2, 60)
+        lhs, rhs = gen_fun_sobolev(basis, 1.5, 0.2)
         assert type(lhs) is type(rhs) is float
         assert rhs == _bilinear_closed_form(1.0, 1.5, -8.0, 0.2) / 1.2
         assert all(type(v) is float for v in hardy_hille_check(0.5, 1.0, 1.0, -0.5, 40))

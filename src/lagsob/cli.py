@@ -143,7 +143,8 @@ def run_solve(args) -> int:
 
     quad_ok = sol.quad_converged and all(r.converged for r in sol.norm_report.values())
 
-    print(f"problem {problem.label}: lam={problem.lam:g}, n_max={args.n_max}")
+    label = problem.label or "custom"
+    print(f"problem {label}: lam={problem.lam:g}, n_max={args.n_max}")
     print(f"  {_ends('uhat', sol.uhat, '.12g', args.n_max)}")
     if eps is not None:
         print(f"  {_ends('eps', eps, '.6e', args.n_max)}")

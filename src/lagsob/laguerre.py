@@ -87,33 +87,24 @@ def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
 # cannot import), so every rule's nodes share their rows within and across
 # solves.  Larger grids are tabulated afresh.
 _CACHE_MAX_POINTS = 256
-# _charge, the stored tables' summed _cost, stays within this many bytes.
+# The stored tables' summed _cost stays within this many bytes.
 _CACHE_BUDGET = 8 << 20
 
 # Read-only, all-finite tables L_0..L_N keyed on (alpha, the float64 bytes of the
-# points), oldest first.  Only _cached_rows and _clear_tables write it or _charge,
-# and only under _PUBLISH.  Each table sits in its own anonymous memory map, outside
-# the malloc heap: long-lived entries there would pin the heap's top, so the freed
+# points), oldest first.  Only _cached_rows reads or writes it, and it writes only
+# under _PUBLISH.  Each table sits in its own anonymous memory map, outside the
+# malloc heap: long-lived entries there would pin the heap's top, so the freed
 # temporaries of every other caller would stay mapped and its later large
 # allocations would page-fault differently.  A map is sized to its table and
 # written once, before it is published; a deeper table replaces the entry with a
 # new map, so concurrent callers see a complete table or none.
 _TABLES: dict = {}
-_charge = 0
 _PUBLISH = threading.Lock()
 
 
 def _cost(key, table) -> int:
     """The bytes an entry is charged: its map's whole pages and its key's bytes."""
     return -(-table.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE + len(key[1])
-
-
-def _clear_tables() -> None:
-    """Drop every stored table and its charge."""
-    global _charge
-    with _PUBLISH:
-        _TABLES.clear()
-        _charge = 0
 
 
 def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
@@ -124,7 +115,6 @@ def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
     A stored table is all-finite, so its points are: the finiteness check runs
     only on a miss.  Hits take no lock and copy nothing.
     """
-    global _charge
     key = (alpha, xf.tobytes())
     head = _TABLES.get(key)
     if head is None or len(head) <= n_max:
@@ -141,13 +131,12 @@ def _cached_rows(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
                 head = old
             else:
                 # The new entry goes last, so it is never the one dropped.
-                if old is not None:
-                    _charge -= _cost(key, _TABLES.pop(key))
+                _TABLES.pop(key, None)
                 _TABLES[key] = head
-                _charge += _cost(key, head)
-                while _charge > _CACHE_BUDGET:
+                total = sum(map(_cost, _TABLES, _TABLES.values()))
+                while total > _CACHE_BUDGET:
                     oldest = next(iter(_TABLES))
-                    _charge -= _cost(oldest, _TABLES.pop(oldest))
+                    total -= _cost(oldest, _TABLES.pop(oldest))
     return head[: n_max + 1]
 
 

@@ -70,7 +70,10 @@ def connection_recurrence(lam: float, n_max: int) -> np.ndarray:
     a = np.empty(n_max)
     a[0] = 2.0 / (4.0 * lam + 2.0)
     for n in range(1, n_max):
-        a[n] = (n + 2) / (4.0 * lam + 2.0 * (n + 1) - n * a[n - 1])
+        denom = 4.0 * lam + 2.0 * (n + 1) - n * a[n - 1]
+        if denom <= 0.0:
+            raise RuntimeError(f"nonpositive denominator at n={n}; lam={lam} invalid?")
+        a[n] = (n + 2) / denom
     return _checked_connection(a, lam)
 
 

@@ -259,7 +259,9 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
                 stacklevel=2,
             )
         elif np.any(eps < 0.0):
-            warnings.warn("sobolev_error clamped small negative values to zero", stacklevel=2)
+            warnings.warn(
+                "sobolev_error clamped small negative values to zero", stacklevel=2
+            )
         sol._eps = np.maximum(eps, 0.0)
     return float(sol._eps[n])
 

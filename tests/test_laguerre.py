@@ -23,7 +23,6 @@ from lagsob import (
     connection_recurrence,
     gauss_laguerre,
     hardy_hille_check,
-    laguerre,
     laguerre_coeffs,
     laguerre_derivative,
     laguerre_eval,
@@ -34,15 +33,7 @@ from lagsob import (
     sobolev_eval_all,
     solve,
 )
-from lagsob.laguerre import (
-    _CACHE_BUDGET,
-    _CACHE_MAX_POINTS,
-    _TABLES,
-    COEFF_MODE_MAX_DEGREE,
-    _check_order,
-    _clear_tables,
-    _cost,
-)
+from lagsob.laguerre import _CACHE_BUDGET, _CACHE_MAX_POINTS, _TABLES, COEFF_MODE_MAX_DEGREE, _check_order, _cost
 from lagsob.quadrature import M_MAX
 
 GRID = np.linspace(-10.0, 40.0, 50)
@@ -197,13 +188,9 @@ class TestKernelIsReference:
 @pytest.fixture
 def cold_tables():
     """An empty table cache before and after the test."""
-    _clear_tables()
+    _TABLES.clear()
     yield _TABLES
-    _clear_tables()
-
-
-def stored_cost(tables):
-    return sum(_cost(k, t) for k, t in tables.items())
+    _TABLES.clear()
 
 
 # Shared points: tables on [-50, 1000] stay finite to n = 240; at 3000 they
@@ -245,7 +232,7 @@ class TestTableCache:
         )
     )
     def test_interleaved_calls_match_the_reference(self, calls):
-        _clear_tables()
+        _TABLES.clear()
         try:
             for alpha, n_max, view in calls:
                 fam, x = LaguerreFamily(alpha), _VIEWS[view]()
@@ -256,9 +243,8 @@ class TestTableCache:
                 assert np.array_equal(got, ref, equal_nan=True)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
                 assert all(np.isfinite(t).all() and not t.flags.writeable for t in _TABLES.values())
-                assert laguerre._charge == stored_cost(_TABLES)
         finally:
-            _clear_tables()
+            _TABLES.clear()
 
     @pytest.mark.parametrize("m", [1, 64, 256])
     def test_small_point_sets_get_read_only_views_of_the_stored_table(self, cold_tables, m):
@@ -334,7 +320,7 @@ class TestTableCache:
         sys.setswitchinterval(1e-6)  # switch threads between most calls
         try:
             for _ in range(3):
-                _clear_tables()
+                cold_tables.clear()
                 barrier, outs = threading.Barrier(2), ([], [])
                 # One thread asks for the even depths, the other for the odd ones.
                 threads = [threading.Thread(target=grow, args=(range(s, 201, 2), barrier, outs[s])) for s in (0, 1)]
@@ -380,31 +366,10 @@ class TestTableCache:
         for i in range(3000):
             laguerre_eval_all(_L1, 0, np.array([float(i)]))
         assert 0 < len(cold_tables) <= _CACHE_BUDGET // mmap.PAGESIZE
-        assert stored_cost(cold_tables) <= _CACHE_BUDGET
+        assert sum(_cost(k, t) for k, t in cold_tables.items()) <= _CACHE_BUDGET
         # Oldest first: the newest point sets are the ones kept, in call order.
         kept = range(3000 - len(cold_tables), 3000)
         assert [key[1] for key in cold_tables] == [np.array([float(i)]).tobytes() for i in kept]
-
-    def test_the_running_charge_is_the_stored_cost(self, cold_tables, monkeypatch):
-        # The store keeps a running charge, so a miss with the store full costs
-        # the new entry's _cost and the dropped ones', not a sum over every entry.
-        for i in range(3000):
-            laguerre_eval_all(_L1, 0, np.array([float(i)]))
-        assert laguerre._charge == stored_cost(cold_tables)
-        calls = []
-
-        def counting(key, table):
-            calls.append(key)
-            return _cost(key, table)
-
-        monkeypatch.setattr(laguerre, "_cost", counting)
-        laguerre_eval_all(_L1, 0, np.array([3000.0]))
-        assert 0 < len(calls) <= 3
-        # A deeper table replaces its shallower entry, and the charge follows.
-        laguerre_eval_all(_L1, 5, np.array([3000.0]))
-        monkeypatch.undo()
-        assert len(cold_tables[(1.0, np.array([3000.0]).tobytes())]) == 6
-        assert laguerre._charge == stored_cost(cold_tables) <= _CACHE_BUDGET
 
 
 _L1 = LaguerreFamily(1.0)

@@ -316,9 +316,9 @@ class TestTableReuse:
 
     @pytest.fixture(autouse=True)
     def cold_tables(self):
-        laguerre._clear_tables()
+        laguerre._TABLES.clear()
         yield
-        laguerre._clear_tables()
+        laguerre._TABLES.clear()
 
     def test_rows_are_computed_once_per_node_set(self, monkeypatch):
         computed = []
@@ -367,7 +367,7 @@ class TestTableReuse:
         # out by 20 tables of 0.49 MB past the 8 MiB budget (rebuilt).
         problem = builtin_problem("exp-decay")
         cold = solve(problem, 100)
-        laguerre._clear_tables()
+        laguerre._TABLES.clear()
         if state == "over-budget":
             solve(problem, 100)
             solved = set(laguerre._TABLES)
@@ -398,7 +398,6 @@ class TestTableReuse:
         entries = [(key, id(table)) for key, table in tables.items()]
         laguerre_eval_all(LaguerreFamily(1.0), 237, np.linspace(0.0, 50.0, 20_000))
         assert [(key, id(table)) for key, table in tables.items()] == entries
-        assert laguerre._charge == stored_bytes()
 
     def test_a_warm_solve_retains_nothing(self):
         # Long-lived heap arrays shift the page faults of every later caller, so
@@ -432,7 +431,7 @@ class TestTableReuse:
     def test_threads_match_a_serial_solve(self):
         names = ("exp-decay", "rational-decay")
         serial = {name: solve(builtin_problem(name), 100) for name in names}
-        laguerre._clear_tables()
+        laguerre._TABLES.clear()
         results = []
 
         def work():

@@ -1,6 +1,8 @@
 """The CI workflow's inline Python scripts compile, and every lagsob name they
-import or read exists.  They run only in CI, so a renamed or removed public
-name would otherwise show only there.  Nothing here runs a script."""
+import or read as `lagsob.X` exists.  They run only in CI, so a renamed or
+removed public name would otherwise show only there.  Nothing here runs a
+script, so a changed signature or a missing attribute of a returned object is
+not caught: this is a name-existence and compile check only."""
 
 import ast
 import importlib

@@ -115,7 +115,7 @@ def run_solve(args) -> int:
     sol = solve(problem, n_max=args.n_max)
     out = args.out_dir
 
-    have_exact = problem.exact is not None and problem.exact_deriv is not None
+    have_exact = problem.exact is not None
 
     # coeffs.csv: the basis carries a_0..a_{n_max}, one a_n per row.
     _write_csv(
@@ -143,8 +143,7 @@ def run_solve(args) -> int:
 
     quad_ok = sol.quad_converged and all(r.converged for r in sol.norm_report.values())
 
-    label = problem.label or "custom"
-    print(f"problem {label}: lam={problem.lam:g}, n_max={args.n_max}")
+    print(f"problem {problem.label}: lam={problem.lam:g}, n_max={args.n_max}")
     print(f"  {_ends('uhat', sol.uhat, '.12g', args.n_max)}")
     if eps is not None:
         print(f"  {_ends('eps', eps, '.6e', args.n_max)}")

@@ -70,10 +70,7 @@ def connection_recurrence(lam: float, n_max: int) -> np.ndarray:
     a = np.empty(n_max)
     a[0] = 2.0 / (4.0 * lam + 2.0)
     for n in range(1, n_max):
-        denom = 4.0 * lam + 2.0 * (n + 1) - n * a[n - 1]
-        if denom <= 0.0:
-            raise RuntimeError(f"nonpositive denominator at n={n}; lam={lam} invalid?")
-        a[n] = (n + 2) / denom
+        a[n] = (n + 2) / (4.0 * lam + 2.0 * (n + 1) - n * a[n - 1])
     return _checked_connection(a, lam)
 
 
@@ -117,7 +114,7 @@ def connection_asymptotic(lam: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SobolevBasis:
-    """Connection coefficients a_0..a_N at lam, and the read-only squared energy norms
+    """Connection coefficients a_0..a_N at lam > 0, and the read-only squared energy norms
     s(n) = (n+1)(n+2)/(4 a_n) they fix: the closed form of a_n s(n) = (n+1)(n+2)/4."""
 
     lam: float
@@ -125,6 +122,7 @@ class SobolevBasis:
     s: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", _check_lam(self.lam))
         a = _checked_connection(self.a)
         n = np.arange(a.size, dtype=float)
         s = (n + 1.0) * (n + 2.0) / (4.0 * a)

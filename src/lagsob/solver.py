@@ -158,7 +158,6 @@ def partial_sum(sol: SpectralSolution, n: int, x):
 
     The factor x e^{-x/2} enforces both boundary conditions identically.
     """
-    n = _check_order("n", n, hi=sol.n_max)
     xa = np.asarray(x, dtype=float)
     s = sobolev_eval_all(sol.basis, n, xa)
     acc = np.tensordot(sol.uhat[: n + 1], s, axes=(0, 0))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lagsob.validation
+from lagsob import laguerre
 from lagsob import (
     BVProblem,
     SobolevBasis,
@@ -293,6 +294,12 @@ class TestValidateCommand:
     def test_other_lambda_passes(self):
         assert main(["validate", "--lambda", "2"]) == 0
 
+    @pytest.mark.parametrize("lam", ["13", "20", "40"])
+    def test_generating_function_passes_past_the_fixed_depth(self, lam):
+        # The omega = 0.7 weights peak near n ~ 31 lam, past a depth of 700 from
+        # lam = 13; the suite's basis grows with lam up to 56.25.
+        assert main(["validate", "--lambda", lam]) == 0
+
     def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
         # a_0 off by 1e-6; the basis derives its norms from the shifted sequence.
         def shifted_basis(lam, n_max):
@@ -484,6 +491,13 @@ class TestColumnWriter:
             "x," + ",".join(f"S{k}" for k in range(7)), rows)
 
 
+def run_fresh(cwd, *args):
+    """python *args in a new interpreter on this checkout's src, with nothing loaded or stored yet."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 import lagsob, lagsob.cli
@@ -501,15 +515,7 @@ assert not loaded, loaded
 
 def test_solve_coeffs_and_errors_load_no_scipy(tmp_path):
     # a fresh process, so no other test has imported scipy first
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_fresh(tmp_path, "-c", NO_SCIPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "an_table.csv").exists() and (tmp_path / "solution.csv").exists()
 
@@ -584,13 +590,20 @@ assert lagsob.to_callable is len
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # A fresh process, so no other test has loaded either module first.
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", LAZY_SCRIPT],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_fresh(tmp_path, "-c", LAZY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_cold_process_writes_the_bytes_of_a_warm_table_store(tmp_path):
+    # The console script starts with an empty Laguerre table store.  Here the
+    # n = 100 solve reads prefixes of the deeper tables an n = 200 solve stored.
+    # Both exit 3: the moments from index 60 on hit the quadrature cap.
+    argv = ["solve", "--problem", "exp-decay", "--nmax", "100", "--out-dir"]
+    proc = run_fresh(tmp_path, "-m", "lagsob", *argv, "cold")
+    assert proc.returncode == 3, proc.stderr
+    laguerre._TABLES.clear()
+    solve(builtin_problem("exp-decay"), 200)
+    assert all(len(table) == 201 for table in laguerre._TABLES.values())
+    assert main(argv + [str(tmp_path / "warm")]) == 3
+    for name in ("coeffs", "solution", "convergence"):
+        assert (tmp_path / "warm" / f"{name}.csv").read_bytes() == (tmp_path / "cold" / f"{name}.csv").read_bytes()

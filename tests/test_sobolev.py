@@ -130,6 +130,21 @@ class TestConnectionSequence:
             resid = abs(a[n] * (4 * lam + 2 * (n + 1) - n * prev) - (n + 2))
             assert resid <= 1e-12 * (n + 2)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(log_lam=st.floats(-12.0, 12.0), n_max=st.integers(1, 2000))
+    def test_recurrence_denominator_stays_positive(self, log_lam, n_max):
+        # a_0 = 2/(4 lam + 2) <= 1, and a_{n-1} <= 1 makes the rounded
+        # denominator 4 lam + 2(n+1) - n a_{n-1} at least n + 2, so a_n <= 1:
+        # the only refusal left is an a_n that rounds to 1, named by lam.
+        lam = 10.0**log_lam
+        try:
+            a = connection_recurrence(lam, n_max)
+        except ValueError as exc:
+            assert f"lambda={lam!r}" in str(exc) and "rounds to 1" in str(exc)
+        else:
+            assert a.shape == (n_max,) and not a.flags.writeable
+            assert np.all((a > 0.0) & (a < 1.0))
+
     def test_ratio_small_cases(self):
         # L_1^{(1)}(-4) = 6 and L_2^{(1)}(-4) = 23
         ratio = connection_ratio(1.0, 2)
@@ -207,6 +222,16 @@ class TestSobolevBasisChecks:
     def test_rejects_a_outside_open_unit_interval(self, bad):
         with pytest.raises(RuntimeError, match="left \\(0, 1\\)"):
             SobolevBasis(lam=1.0, a=[0.3, bad])
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_invalid_lambda(self, lam):
+        # Refused here, not later by gen_fun_sobolev as a ZeroDivisionError,
+        # "math domain error" or a bessel_j range error.
+        with pytest.raises(ValueError, match="lam > 0"):
+            SobolevBasis(lam, self.A)
+        # sobolev_basis refuses the lambda before it looks at n_max.
+        with pytest.raises(ValueError, match="lam > 0"):
+            sobolev_basis(lam, -1)
 
     def test_rejects_empty_connection(self):
         with pytest.raises(ValueError, match="at least a_0"):

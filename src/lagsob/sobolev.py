@@ -42,23 +42,23 @@ _L1 = LaguerreFamily(1.0)
 
 
 def _check_lam(lam: float) -> float:
-    if not (lam > 0.0) or math.isinf(lam):
-        raise ValueError(f"potential strength must satisfy lam > 0, got {lam!r}")
+    if not (lam > 0.0) or math.isinf(4.0 * float(lam)):
+        raise ValueError(f"potential strength must satisfy lam > 0 and 4*lam finite, got {lam!r}")
     return float(lam)
 
 
 def _checked_connection(a, lam: float | None = None) -> np.ndarray:
-    """a_0..a_{N-1} as a read-only copy; N >= 1 and every a_n lies in (0, 1).  Given the
-    lam of a computed sequence, finite a_n >= 1 are rounding: 1 - a_n is O(lam)."""
+    """a_0..a_{N-1} as a read-only copy; N >= 1 and every a_n lies in (0, 1).  Both sweeps
+    keep a computed sequence, given with its lam, in (0, 1], so there a_n = 1 is rounding."""
     arr = np.array(a, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("connection sequence must hold at least a_0")
-    inside = (arr > 0.0) & (arr < 1.0)
-    if not inside.all():
-        if lam is not None and np.all(inside | (arr >= 1.0) & np.isfinite(arr)):
-            n = int(np.argmin(inside))
+    outside = ~((arr > 0.0) & (arr < 1.0))
+    if outside.any():
+        n = int(np.argmax(outside))
+        if lam is not None:
             raise ValueError(f"lambda={lam!r} is too small for n_max={arr.size - 1}: a_{n} rounds to 1")
-        raise RuntimeError("connection coefficients left (0, 1); recurrence is broken")
+        raise ValueError(f"a_{n} must lie in (0, 1), got {float(arr[n])!r}")
     arr.setflags(write=False)
     return arr
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, CSV schemas, determinism."""
 
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lagsob.validation
 from lagsob import laguerre
@@ -20,6 +23,7 @@ from lagsob import (
     connection_asymptotic,
     connection_ratio,
     connection_recurrence,
+    gen_fun_sobolev,
     parse_expression,
     partial_sum,
     sobolev_basis,
@@ -294,11 +298,21 @@ class TestValidateCommand:
     def test_other_lambda_passes(self):
         assert main(["validate", "--lambda", "2"]) == 0
 
-    @pytest.mark.parametrize("lam", ["13", "20", "40"])
-    def test_generating_function_passes_past_the_fixed_depth(self, lam):
-        # The omega = 0.7 weights peak near n ~ 31 lam, past a depth of 700 from
-        # lam = 13; the suite's basis grows with lam up to 56.25.
-        assert main(["validate", "--lambda", lam]) == 0
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(log_lam=st.floats(-15.0, 300.0))
+    @example(log_lam=math.log10(13.0))
+    @example(log_lam=math.log10(60.0))
+    @example(log_lam=math.log10(200.0))
+    @example(log_lam=9.0)
+    def test_every_suite_passes_across_lambda(self, log_lam):
+        # Past lam = 10 the generating-function suite scales omega by 10/lam,
+        # so one depth of 700 holds everywhere, and no suite may warn.  With a
+        # fixed omega the series needed more than 700 terms at 13, and the
+        # closed form left bessel_j's range at 60 and overflowed at 200 and 1e9.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = lagsob.validation.run_suites(10.0**log_lam)
+        assert [name for name, ok, _ in results if not ok] == [], results
 
     def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
         # a_0 off by 1e-6; the basis derives its norms from the shifted sequence.
@@ -321,17 +335,25 @@ class TestValidateCommand:
         assert alt[:2] == ["alternating-sum", "FAIL"]
         assert "nan" in alt
 
-    def test_overflowing_generating_function_fails_without_warnings(self, capsys):
-        # At lam = 1e9 the series weights omega^n / (a_0 ... a_{n-1}) leave
-        # double range; the suite must fail on its own, not warn on the way.
+    def test_overflowing_generating_function_fails_without_warnings(self):
+        # At lam = 1e9 and omega = 0.5 the series weights omega^n / (a_0 ... a_{n-1})
+        # leave double range: gen_fun_sobolev raises, it does not warn on the way.
+        basis = sobolev_basis(1e9, 700)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["validate", "--lambda", "1e9"]) == 1
+            with pytest.raises(FloatingPointError):
+                gen_fun_sobolev(basis, 2.0, 0.5)
+
+    def test_failing_suites_share_one_stderr_line(self, capsys):
+        # At lam = 1e-16 a_1 rounds to 1, so both suites that take the
+        # recurrence fail; the others still run and pass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--lambda", "1e-16"]) == 1
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1].split()[:3] == ["sobolev-generating-function", "FAIL", "raised"]
-        # One stderr line names every failing suite.  sobolev-gram passes: its
-        # off-diagonals are bounded relative to sqrt(s(i) s(j)), which grows with lam.
-        assert err == "validation failed: sobolev-generating-function\n"
+        failed = [line.split()[0] for line in out.splitlines() if line.split()[1] == "FAIL"]
+        assert failed == ["connection-coefficients", "alternating-sum"]
+        assert err == "validation failed: connection-coefficients, alternating-sum\n"
 
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 13.0, 200.0, 1000.0, 2e5, 1e9])
     def test_sobolev_gram_passes_across_lambda(self, lam):
@@ -343,16 +365,49 @@ class TestValidateCommand:
         ok, detail = results["sobolev-gram"]
         assert ok, detail
 
-    @pytest.mark.parametrize("lam", ["60", "200"])
-    def test_raising_suite_is_a_fail_line(self, capsys, lam):
-        # sobolev-generating-function raises at these lambdas (bessel_j's
-        # range at 60, a math.exp overflow at 200); main must still return.
-        assert main(["validate", "--lambda", lam]) == 1
+    @pytest.mark.parametrize("error", [ValueError, OverflowError])
+    def test_raising_suite_is_a_fail_line(self, capsys, monkeypatch, error):
+        # A suite that raises (as bessel_j's range check or math.exp would)
+        # fails alone; main still runs every suite and returns.
+        def raising(*args):
+            raise error("out of range")
+
+        monkeypatch.setattr(lagsob.validation, "gen_fun_sobolev", raising)
+        assert main(["validate"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == SUITE_NAMES
-        gen_fun = lines[-1].split()
-        assert gen_fun[1:3] == ["FAIL", "raised"]
-        assert gen_fun[3] in ("ValueError:", "OverflowError:")
+        assert [line.split()[1] for line in lines] == ["PASS"] * 9 + ["FAIL"]
+        assert lines[-1].split(None, 2)[2] == f"raised {error.__name__}: out of range"
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [({"weights": -np.ones(3)}, "invalid rule alpha=0.0, m=3"),
+         ({"nodes": np.array([10.0, 20.0, 30.0])}, "interlacing failed alpha=0.0, m=3")],
+        ids=["negative-weight", "not-interlacing"],
+    )
+    def test_broken_rule_fails_quadrature_suite(self, monkeypatch, change, detail):
+        # Every 3-point rule gets a negative weight, or nodes that the 2-point
+        # rule's do not interlace; the first one checked is named.
+        rules = lagsob.validation._rules
+        monkeypatch.setattr(lagsob.validation, "_rules", lambda alpha, sizes: [
+            dataclasses.replace(r, **change) if r.size == 3 else r for r in rules(alpha, sizes)])
+        results = {name: (ok, text) for name, ok, text in lagsob.validation.run_suites(1.0)}
+        assert results.pop("quadrature-exactness") == (False, detail)
+        assert all(ok for ok, _ in results.values())
+
+    def test_connection_past_its_bound_fails_its_suite(self, monkeypatch):
+        recurrence = lagsob.validation.connection_recurrence
+
+        def with_a5_of_one(lam, n_max):
+            a = recurrence(lam, n_max).copy()
+            a[5] = 1.0
+            return a
+
+        monkeypatch.setattr(lagsob.validation, "connection_recurrence", with_a5_of_one)
+        results = {name: (ok, text) for name, ok, text in lagsob.validation.run_suites(1.0)}
+        ok, detail = results.pop("connection-coefficients")
+        assert not ok and detail.startswith("bound violated at n=5: a=") and "1.0" in detail
+        assert all(ok for ok, _ in results.values())
 
     def test_rejects_nmax(self):
         # validate runs fixed-size suites; --nmax is not one of its options.
@@ -564,6 +619,17 @@ def test_lambda_too_small_is_one_error_line(tmp_path, capsys, argv):
     # Every a_n rounds to 1 at lambda = 1e-17: a configuration error, no traceback.
     assert main(argv + ["--lambda", "1e-17", "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: lambda=1e-17 is too small for n_max=20: a_0 rounds to 1\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv", [["coeffs"], ["basis"], ["solve", "--f-expr", "exp(-x)"]], ids=["coeffs", "basis", "solve"]
+)
+def test_lambda_whose_four_lambda_overflows_is_one_error_line(tmp_path, capsys, argv):
+    # -4 lam would be -inf and the ratio sweep's a_0 zero: refused before any sweep.
+    assert main(argv + ["--lambda", "1e308", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: potential strength must satisfy lam > 0 and 4*lam finite, got 1e+308\n"
     assert not any(tmp_path.iterdir())
 
 

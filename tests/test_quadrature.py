@@ -268,6 +268,14 @@ class TestBuilderOracle:
             assert rule.log_weights[i] == pytest.approx(log_w, rel=1e-12, abs=0.0)
 
 
+    def test_newton_step_to_a_nonpositive_node_raises(self, monkeypatch):
+        # L_2(x) = 1 - 2x + x^2/2 has its minimum at x = 2: from an eigensolver node
+        # at 1.99 one Newton step lands near x = -98, and the builder refuses it.
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda jacobi: np.array([1.99, 3.41]))
+        with pytest.raises(RuntimeError, match=r"^nonpositive quadrature node for alpha=0.0, m=2$"):
+            quadrature._christoffel_rules(0.0, [2])
+
+
 class TestIntegrate:
     def test_constant(self):
         rule = gauss_laguerre(1.0, 4)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagsob import (
@@ -45,6 +45,7 @@ def sobolev_inner_poly(basis, p, q, m):
 
 
 LAMBDAS = [0.5, 1.0, 2.0, 10.0]
+LAM_MAX = np.finfo(float).max / 4  # the largest lam whose -4 lam is finite
 
 # Exact rational coefficient lists for lam = 1, constant term first.
 S_COEFFS_LAM1 = [
@@ -131,19 +132,24 @@ class TestConnectionSequence:
             assert resid <= 1e-12 * (n + 2)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(log_lam=st.floats(-12.0, 12.0), n_max=st.integers(1, 2000))
+    @given(log_lam=st.floats(math.log10(5e-324), math.log10(LAM_MAX)), n_max=st.integers(1, 2000))
+    @example(log_lam=math.log10(LAM_MAX), n_max=2000)
+    @example(log_lam=math.log10(5e-324), n_max=1)
     def test_recurrence_denominator_stays_positive(self, log_lam, n_max):
-        # a_0 = 2/(4 lam + 2) <= 1, and a_{n-1} <= 1 makes the rounded
-        # denominator 4 lam + 2(n+1) - n a_{n-1} at least n + 2, so a_n <= 1:
-        # the only refusal left is an a_n that rounds to 1, named by lam.
-        lam = 10.0**log_lam
-        try:
-            a = connection_recurrence(lam, n_max)
-        except ValueError as exc:
-            assert f"lambda={lam!r}" in str(exc) and "rounds to 1" in str(exc)
-        else:
-            assert a.shape == (n_max,) and not a.flags.writeable
-            assert np.all((a > 0.0) & (a < 1.0))
+        # Recurrence: a_0 = 2/(4 lam + 2) <= 1, and a_{n-1} <= 1 makes the
+        # rounded denominator 4 lam + 2(n+1) - n a_{n-1} at least n + 2, so
+        # a_n <= 1.  Sweep: a_n = p/(p + e) with p in [1/2, 1) and e >= 0
+        # finite while 4 lam is.  Both stay in (0, 1], so the only refusal left
+        # is an a_n that rounds to 1, named by lam.
+        lam = min(max(10.0**log_lam, 5e-324), LAM_MAX)
+        for connection in (connection_recurrence, connection_ratio):
+            try:
+                a = connection(lam, n_max)
+            except ValueError as exc:
+                assert f"lambda={lam!r}" in str(exc) and "rounds to 1" in str(exc)
+            else:
+                assert a.shape == (n_max,) and not a.flags.writeable
+                assert np.all((a > 0.0) & (a < 1.0))
 
     def test_ratio_small_cases(self):
         # L_1^{(1)}(-4) = 6 and L_2^{(1)}(-4) = 23
@@ -175,9 +181,10 @@ class TestConnectionSequence:
             connection_ratio(0.0, 5)
         with pytest.raises(ValueError):
             connection_ratio(1.0, 0)
-        # -4 lam overflows to -inf: the sweep gives a_0 = 0, then nan.
-        with pytest.raises(RuntimeError, match=r"left \(0, 1\)"):
-            connection_ratio(1e308, 3)
+        # -4 lam would overflow to -inf, and the sweep would give a_0 = 0.
+        for connection in (connection_recurrence, connection_ratio):
+            with pytest.raises(ValueError, match="lam > 0 and 4\\*lam finite, got 1e\\+308"):
+                connection(1e308, 3)
 
     @pytest.mark.parametrize("lam, n_max", [(1e-17, 20), (1e-15, 1000)])
     def test_lambda_too_small_for_double_precision(self, lam, n_max):
@@ -218,12 +225,13 @@ class TestSobolevBasisChecks:
         with pytest.raises(ValueError):
             basis.s[0] = 1.0
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf])
     def test_rejects_a_outside_open_unit_interval(self, bad):
-        with pytest.raises(RuntimeError, match="left \\(0, 1\\)"):
-            SobolevBasis(lam=1.0, a=[0.3, bad])
+        # The first a_n outside (0, 1), by index and as a Python float.
+        with pytest.raises(ValueError, match=rf"^a_1 must lie in \(0, 1\), got {bad!r}$"):
+            SobolevBasis(lam=1.0, a=[0.3, bad, 2.0])
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, 1e308])
     def test_rejects_invalid_lambda(self, lam):
         # Refused here, not later by gen_fun_sobolev as a ZeroDivisionError,
         # "math domain error" or a bessel_j range error.
@@ -492,6 +500,9 @@ class TestGeneratingFunctions:
             hardy_hille_check(1.0, 1.0, 1.0, 0.3, 50)
         with pytest.raises(ValueError):
             hardy_hille_check(1.0, 1.0, 1.0, -1.0, 50)
+        for x, y in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="x and y must be > 0"):
+                hardy_hille_check(1.0, x, y, -0.5, 10)
         # LaguerreFamily admits alpha in (-1, 0); J_alpha here does not.
         with pytest.raises(ValueError, match="alpha"):
             hardy_hille_check(-0.5, 1.0, 1.0, -0.5, 10)

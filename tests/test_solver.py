@@ -552,6 +552,18 @@ class TestSobolevError:
         with pytest.raises(ValueError):
             sobolev_error(sol, 0)
 
+    def test_small_overshoot_is_clamped_with_one_warning(self):
+        # The exact solution scaled by 1 - 1e-9 lowers ||u||^2 by ~2e-9 relative, past the
+        # n = 40 truncation error (~3e-16) but above the -1e-8 floor of the cap warning.
+        p = builtin_problem("exp-decay")
+        scaled = BVProblem(lam=p.lam, rhs=p.rhs, exact=lambda x: (1.0 - 1e-9) * p.exact(x),
+                           exact_deriv=lambda x: (1.0 - 1e-9) * p.exact_deriv(x))
+        sol = solve(scaled, 40)
+        with pytest.warns(UserWarning) as record:
+            assert sobolev_error(sol, 40) == 0.0
+        assert [str(w.message) for w in record] == ["sobolev_error clamped small negative values to zero"]
+        assert sobolev_error(sol, 5) > 0.0
+
     def test_cap_overshoot_warning_names_the_capped_moments_and_norm_integrals(self):
         # u = x cos(kx) / (1 + x)^p, the algebraic family, at n = 200.  Every moment hits the
         # cap and their Parseval sum overshoots ||u||^2 (min -3.415e-5), while the norm's own

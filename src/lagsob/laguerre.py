@@ -40,7 +40,7 @@ class LaguerreFamily:
 
     def __post_init__(self):
         if not (self.alpha > -1.0) or math.isinf(self.alpha):
-            raise ValueError(f"Laguerre parameter must satisfy alpha > -1, got {self.alpha!r}")
+            raise ValueError(f"Laguerre parameter must satisfy alpha > -1, got {float(self.alpha)!r}")
 
 
 def _check_finite_scalar_or_array(x):
@@ -55,7 +55,8 @@ def _check_order(name: str, n, lo: int = 0, hi: float = float("inf")) -> int:
     if type(n) is int and lo <= n <= hi:  # the common case, without the ABC check
         return n
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not lo <= n <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {n!r}")
+        shown = n.item() if isinstance(n, np.generic) else n  # a numpy scalar as the Python one
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {shown!r}")
     return int(n)
 
 
@@ -185,7 +186,7 @@ def laguerre_coeffs(family: LaguerreFamily, n: int) -> np.polynomial.Polynomial:
     the recurrence evaluation instead, which has no such limit).
     """
     n = _check_order("n", n, hi=COEFF_MODE_MAX_DEGREE)
-    alpha = family.alpha
+    alpha = float(family.alpha)
     try:
         if alpha == int(alpha) and alpha >= 0:
             c0 = float(math.comb(n + int(alpha), n))

@@ -138,7 +138,7 @@ def _build_rule(alpha: float, m: int) -> QuadratureRule:
 def gauss_laguerre(alpha: float, m: int) -> QuadratureRule:
     """m-point rule for weight x^alpha e^{-x}; exact through degree 2m-1."""
     if not (alpha > -1.0) or math.isinf(alpha):
-        raise ValueError(f"weight exponent alpha must be finite and > -1, got {alpha!r}")
+        raise ValueError(f"weight exponent alpha must be finite and > -1, got {float(alpha)!r}")
     return _build_rule(float(alpha), _check_order("rule size m", m, 1, M_MAX))
 
 

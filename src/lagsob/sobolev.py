@@ -43,7 +43,7 @@ _L1 = LaguerreFamily(1.0)
 
 def _check_lam(lam: float) -> float:
     if not (lam > 0.0) or math.isinf(4.0 * float(lam)):
-        raise ValueError(f"potential strength must satisfy lam > 0 and 4*lam finite, got {lam!r}")
+        raise ValueError(f"potential strength must satisfy lam > 0 and 4*lam finite, got {float(lam)!r}")
     return float(lam)
 
 
@@ -221,9 +221,9 @@ def gen_fun_sobolev(basis: SobolevBasis, x: float, omega: float):
     tail is negligible (terms decay geometrically for w <= 0.8).
     """
     if not (0.0 < omega <= 0.8):
-        raise ValueError(f"omega must lie in (0, 0.8], got {omega!r}")
+        raise ValueError(f"omega must lie in (0, 0.8], got {float(omega)!r}")
     if not (x > 0.0):
-        raise ValueError(f"x must be > 0, got {x!r}")
+        raise ValueError(f"x must be > 0, got {float(x)!r}")
 
     # P_n w^n = w^n/(a_0 ... a_{n-1}).
     # At large lam the weights leave double range: fail the check, do not warn.
@@ -245,9 +245,9 @@ def hardy_hille_check(alpha: float, x: float, y: float, omega: float, n_trunc: i
     are one cumulative product of w k/(k+alpha).
     """
     if not (0.0 <= alpha < math.inf):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+        raise ValueError(f"alpha must be finite and >= 0, got {float(alpha)!r}")
     if not (-1.0 < omega < 0.0):
-        raise ValueError(f"omega must lie in (-1, 0), got {omega!r}")
+        raise ValueError(f"omega must lie in (-1, 0), got {float(omega)!r}")
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be > 0")
     n_trunc = _check_order("n_trunc", n_trunc)

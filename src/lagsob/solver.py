@@ -24,6 +24,7 @@ import numpy as np
 
 from .laguerre import _check_finite_scalar_or_array, _check_order, laguerre_eval_all
 from .quadrature import (
+    TOL,
     AdaptiveResult,
     _vectorised,
     gauss_laguerre,
@@ -45,10 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 20
-
-# Parseval errors more negative than this are not rounding noise: moments that hit the
-# quadrature cap can overshoot ||u||^2 in the cumulative sum (sobolev_error_direct does not).
-_NEGATIVE_EPS_FLOOR = -1e-8
 
 
 @dataclass
@@ -240,7 +237,10 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
     Orthogonality collapses the squared distance to
     ||u||^2 - sum_{k<=n} uhat_k^2 s(k); the norm is integrated once and the
     cumulative sum is reused for every n, which also keeps the sequence
-    numerically nonincreasing.
+    numerically nonincreasing.  ||u||^2 is known only to TOL * (1 + ||u||^2),
+    the adaptive integrator's bar: a value below 0 within it is rounding and
+    reads 0 silently; one below it (capped moments, an unconverged norm
+    integral) warns once and is still clamped to 0.
     """
     n = _check_order("n", n, hi=sol.n_max)
     if sol._eps is None:
@@ -248,18 +248,15 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
         norm_sq, reports = _energy_norm_sq(p.exact, p.exact_deriv, p.lam)
         sol.norm_report["u_sq_over_x"], sol.norm_report["du_sq"] = reports
         eps = norm_sq - np.cumsum(sol.uhat**2 * sol.basis.s)
-        if np.any(eps < _NEGATIVE_EPS_FLOOR):
+        bar = TOL * (1.0 + norm_sq)
+        if eps.min() < -bar:
             capped = sum(not r.converged for r in sol.quad_report)
             norms = ", ".join(f"{k} {r.converged}" for k, r in sol.norm_report.items())
             warnings.warn(
-                f"sobolev_error went below {_NEGATIVE_EPS_FLOOR:g} (min {eps.min():.3e}): {capped} of "
+                f"sobolev_error went below {-bar:.3e} (min {eps.min():.3e}): {capped} of "
                 f"{sol.n_max + 1} moments hit the quadrature cap; norm integrals converged: {norms}; "
                 "sobolev_error_direct integrates the error itself",
                 stacklevel=2,
-            )
-        elif np.any(eps < 0.0):
-            warnings.warn(
-                "sobolev_error clamped small negative values to zero", stacklevel=2
             )
         sol._eps = np.maximum(eps, 0.0)
     return float(sol._eps[n])

@@ -19,9 +19,9 @@ Z_MAX = 60.0
 def bessel_j(alpha: float, z: float) -> float:
     """Bessel function of the first kind J_alpha(z), alpha >= 0, 0 <= z <= 60."""
     if not (0.0 <= alpha < math.inf):
-        raise ValueError(f"bessel order must be finite and >= 0, got {alpha!r}")
+        raise ValueError(f"bessel order must be finite and >= 0, got {float(alpha)!r}")
     if not (0.0 <= z <= Z_MAX):
-        raise ValueError(f"bessel_j argument must lie in [0, {Z_MAX:g}], got {z!r}")
+        raise ValueError(f"bessel_j argument must lie in [0, {Z_MAX:g}], got {float(z)!r}")
     if z == 0.0 or alpha >= 440.0:  # then J <= (z/2)^alpha / Gamma(alpha+1) < 2^-1075
         return float(alpha == 0.0)
     if z < 1e-9:  # (z/2)^2 < 2^-61: the leading series term is J to rounding

@@ -121,7 +121,7 @@ def _suite_connection(lam):
     in_bounds = (a_rec > 0.0) & (a_rec < 1.0) & (a_rec < (n + 2) / (4 * lam + n + 2) + 1e-15)
     bad = np.flatnonzero(~in_bounds)
     if bad.size:
-        return False, f"bound violated at n={bad[0]}: a={a_rec[bad[0]]!r}"
+        return False, f"bound violated at n={bad[0]}: a={float(a_rec[bad[0]])!r}"
     worst = float(np.max(np.abs(a_rec - a_rat) / a_rat))
     return worst <= 1e-12, f"max recurrence/ratio mismatch {worst:.2e} (tol 1e-12)"
 

@@ -406,7 +406,7 @@ class TestValidateCommand:
         monkeypatch.setattr(lagsob.validation, "connection_recurrence", with_a5_of_one)
         results = {name: (ok, text) for name, ok, text in lagsob.validation.run_suites(1.0)}
         ok, detail = results.pop("connection-coefficients")
-        assert not ok and detail.startswith("bound violated at n=5: a=") and "1.0" in detail
+        assert not ok and detail == "bound violated at n=5: a=1.0"
         assert all(ok for ok, _ in results.values())
 
     def test_rejects_nmax(self):
@@ -576,12 +576,20 @@ def test_solve_coeffs_and_errors_load_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["solve", "--problem", "exp-decay", "--nmax", "5"], ["basis"]], ids=["solve", "basis"]
+    "argv, flag",
+    [
+        (["solve", "--problem", "exp-decay", "--nmax", "5"], "--count"),
+        (["basis"], "--count"),
+        (["solve", "--problem", "exp-decay"], "--nmax"),
+        (["coeffs"], "--nmax"),
+        (["basis"], "--nmax"),
+    ],
+    ids=["solve", "basis", "solve-nmax", "coeffs-nmax", "basis-nmax"],
 )
-def test_negative_count_is_a_config_error(tmp_path, capsys, argv):
+def test_negative_count_is_a_config_error(tmp_path, capsys, argv, flag):
     # Refused in main, before any file is written, by a message naming the flag.
-    assert main(argv + ["--count", "-1", "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: --count must be >= 0\n"
+    assert main(argv + [flag, "-1", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0\n"
     assert not any(tmp_path.iterdir())
 
 

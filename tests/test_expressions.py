@@ -226,6 +226,13 @@ class TestEvaluate:
         assert f(3.0) == 10.0
         assert np.allclose(f(np.array([0.0, 1.0, 2.0])), [1.0, 2.0, 5.0])
 
+    @pytest.mark.parametrize("tree", ["x", 2.0, None, Bin("+", Var(), "x")])
+    def test_non_expression_nodes_are_a_type_error(self, tree):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            to_callable(tree)(1.0)
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            format_expr(tree)
+
 
 # 0, negative x and x = 700 (where exp is near the top of the double range).
 GRID = np.array([-700.0, -3.5, -1.0, -0.0, 0.0, 1e-300, 0.25, 1.0, 2.0, 3.75, 40.0, 700.0])

@@ -13,6 +13,7 @@ import re
 import threading
 import tracemalloc
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -521,6 +522,45 @@ class TestOrderArguments:
         assert call(exp_solution, np.int32(3)) == call(exp_solution, 3)
 
 
+def _exp_family_problem(lam, k, c):
+    """u = x e^{-cx} cos(kx) with its right-hand side and derivative."""
+
+    def f(x):
+        kx = k * x
+        return np.exp(-c * x) * (
+            (2.0 * c + lam - (c * c - k * k) * x) * np.cos(kx) - 2.0 * k * (c * x - 1.0) * np.sin(kx)
+        )
+
+    def u(x):
+        return x * np.exp(-c * x) * np.cos(k * x)
+
+    def du(x):
+        kx = k * x
+        return np.exp(-c * x) * ((1.0 - c * x) * np.cos(kx) - kx * np.sin(kx))
+
+    return BVProblem(lam=lam, rhs=f, exact=u, exact_deriv=du)
+
+
+def _alg_family_problem(lam, k, p):
+    """u = x cos(kx) / (1 + x)^p with its right-hand side and derivative."""
+
+    def f(x):
+        s, kx = 1.0 + x, k * x
+        return (
+            (p * (2.0 - (p - 1) * x) + (k * k * x + lam) * s * s) * np.cos(kx)
+            + 2.0 * k * s * (s - p * x) * np.sin(kx)
+        ) / s ** (p + 2)
+
+    def u(x):
+        return x * np.cos(k * x) / (1.0 + x) ** p
+
+    def du(x):
+        s, kx = 1.0 + x, k * x
+        return ((s - p * x) * np.cos(kx) - kx * s * np.sin(kx)) / s ** (p + 1)
+
+    return BVProblem(lam=lam, rhs=f, exact=u, exact_deriv=du)
+
+
 class TestSobolevError:
     def test_matches_exact_fixture(self, exp_solution):
         for n in range(21):
@@ -552,45 +592,59 @@ class TestSobolevError:
         with pytest.raises(ValueError):
             sobolev_error(sol, 0)
 
-    def test_small_overshoot_is_clamped_with_one_warning(self):
+    def test_overshoot_past_the_norm_bar_warns_once(self):
         # The exact solution scaled by 1 - 1e-9 lowers ||u||^2 by ~2e-9 relative, past the
-        # n = 40 truncation error (~3e-16) but above the -1e-8 floor of the cap warning.
+        # n = 40 truncation error (~3e-16) and past the bar TOL * (1 + ||u||^2) = 1.437e-12
+        # to which the norm is integrated, though every moment and norm integral converged.
         p = builtin_problem("exp-decay")
         scaled = BVProblem(lam=p.lam, rhs=p.rhs, exact=lambda x: (1.0 - 1e-9) * p.exact(x),
                            exact_deriv=lambda x: (1.0 - 1e-9) * p.exact_deriv(x))
         sol = solve(scaled, 40)
         with pytest.warns(UserWarning) as record:
             assert sobolev_error(sol, 40) == 0.0
-        assert [str(w.message) for w in record] == ["sobolev_error clamped small negative values to zero"]
+        assert [str(w.message) for w in record] == [
+            "sobolev_error went below -1.437e-12 (min -8.750e-10): 0 of 41 moments hit the "
+            "quadrature cap; norm integrals converged: u_sq_over_x True, du_sq True; "
+            "sobolev_error_direct integrates the error itself"
+        ]
         assert sobolev_error(sol, 5) > 0.0
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        log_lam=st.floats(-2.0, 2.0),
+        k=st.floats(0.5, 1.5),
+        c=st.floats(1.0, 2.0),
+        n_max=st.sampled_from([100, 200]),
+    )
+    def test_rounding_within_the_norm_bar_reads_zero_silently(self, log_lam, k, c, n_max):
+        # u = x e^{-cx} cos(kx): every moment converges, and the Parseval form dips below 0
+        # by rounding only (at most ~1.2e-14 of ||u||^2), inside the bar TOL * (1 + ||u||^2).
+        sol = solve(_exp_family_problem(10.0**log_lam, k, c), n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(sobolev_error(sol, j) >= 0.0 for j in range(n_max + 1))
+
+    def test_capped_moments_past_the_norm_bar_warn_once(self):
+        # The algebraic family at n = 200: all 201 moments hit the cap and their Parseval sum
+        # overshoots ||u||^2 by ~1.1e-9, ~1e-8 of it: past the norm's bar, not rounding.
+        sol = solve(_alg_family_problem(0.06073481330602126, 0.8237214287228913, 4), 200)
+        with pytest.warns(UserWarning) as record:
+            assert sobolev_error(sol, 200) == 0.0
+        messages = [str(w.message) for w in record if w.category is UserWarning]
+        assert len(messages) == 1 and "201 of 201 moments hit the quadrature cap" in messages[0]
 
     def test_cap_overshoot_warning_names_the_capped_moments_and_norm_integrals(self):
         # u = x cos(kx) / (1 + x)^p, the algebraic family, at n = 200.  Every moment hits the
         # cap and their Parseval sum overshoots ||u||^2 (min -3.415e-5), while the norm's own
         # quadrature, 0.11660791, is within 1.3e-7 of 30-digit mpmath (0.11660803) and the
         # direct quadrature of the error reads +3.30e-5.  The clamp to 0.0 stays.
-        lam, k, p = 0.18439716574630327, 1.4316481587413588, 3
-
-        def f(x):
-            s, kx = 1.0 + x, k * x
-            return (
-                (p * (2.0 - (p - 1) * x) + (k * k * x + lam) * s * s) * np.cos(kx)
-                + 2.0 * k * s * (s - p * x) * np.sin(kx)
-            ) / s ** (p + 2)
-
-        def u(x):
-            return x * np.cos(k * x) / (1.0 + x) ** p
-
-        def du(x):
-            s, kx = 1.0 + x, k * x
-            return ((s - p * x) * np.cos(kx) - kx * s * np.sin(kx)) / s ** (p + 1)
-
-        sol = solve(BVProblem(lam=lam, rhs=f, exact=u, exact_deriv=du), 200)
+        lam = 0.18439716574630327
+        sol = solve(_alg_family_problem(lam, 1.4316481587413588, 3), 200)
         with pytest.warns(UserWarning) as record:
             assert sobolev_error(sol, 200) == 0.0
         messages = [str(w.message) for w in record if w.category is UserWarning]
         assert len(messages) == 1 and re.fullmatch(
-            r"sobolev_error went below -1e-08 \(min -3\.4\d\de-05\): 201 of 201 moments hit the "
+            r"sobolev_error went below -1\.117e-12 \(min -3\.4\d\de-05\): 201 of 201 moments hit the "
             r"quadrature cap; norm integrals converged: u_sq_over_x False, du_sq False; "
             r"sobolev_error_direct integrates the error itself",
             messages[0],

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .quadrature import TOL
 from .sobolev import (
     _check_lam,
     connection_asymptotic,
@@ -147,9 +148,12 @@ def run_solve(args) -> int:
     print(f"  {_ends('uhat', sol.uhat, '.12g', args.n_max)}")
     if eps is not None:
         print(f"  {_ends('eps', eps, '.6e', args.n_max)}")
-    worst = max(r.achieved_tol for r in sol.quad_report)
-    print(f"  quadrature: worst achieved tolerance {worst:.3e} "
-          f"({'converged' if quad_ok else 'NOT converged at cap'})")
+    # The worst of every integral quad_ok reads: the moments g_n and the norm integrals.
+    reports = {f"moment g_{n}": r for n, r in enumerate(sol.quad_report)}
+    reports.update((f"norm integral {k}", r) for k, r in sol.norm_report.items())
+    where, worst = max(reports.items(), key=lambda kr: kr[1].achieved_tol)
+    print(f"  quadrature: worst achieved tolerance {worst.achieved_tol:.3e} "
+          + ("(converged)" if quad_ok else f"(NOT converged at cap: {where} missed TOL {TOL:g})"))
     print(f"  wrote {out / 'coeffs.csv'}, {out / 'solution.csv'}"
           + (f", {out / 'convergence.csv'}" if eps is not None else ""))
     return EXIT_OK if quad_ok else EXIT_QUADRATURE

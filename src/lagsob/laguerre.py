@@ -65,8 +65,11 @@ def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
 
     Each row n+1 is seeded with (2n+1+alpha) - x, the floats of the scalar
     expression since 2n+1 is exact, then finished in place as
-    ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) / (n+1); row 1 is final once
-    seeded.
+    ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) * (1.0 / (n+1)); row 1 is
+    final once seeded.  The reciprocal is one Python float per row, because a
+    vector division costs about three vector multiplies: at n_max = 200 on
+    2k/11k/20k points the table takes 1.27/3.46/7.23 ms, against
+    1.40/4.65/9.36 ms when each row divided by n+1 (best of 15, 2-core Xeon).
     """
     rows = np.empty((n_max + 1, xf.size))
     rows[0] = 1.0
@@ -78,7 +81,7 @@ def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
         r *= mid
         np.multiply(n + alpha, lo, tmp)
         r -= tmp
-        r /= n + 1
+        r *= 1.0 / (n + 1)
         lo, mid = mid, r
     return rows
 
@@ -146,11 +149,14 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
 
     Returns an array of shape (n_max+1,) for scalar x, or
     (n_max+1,) + x.shape for array x.  Both paths do the arithmetic of
-    ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) / (n+1) in that order, so
-    their values are bit-identical to it.  Arrays of 1 to 256 points reuse
-    the rows of earlier calls on the same points and get a read-only array,
-    a view of the stored table where there is one; copy it to write into it.
-    Scalars, empty arrays and larger grids get a fresh, writable array.
+    ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) * (1.0 / (n+1)) in that order,
+    so their values are bit-identical to it.  The rounded reciprocal (see
+    _table for why) moves values at rounding level only: in the tests, row n
+    at n <= 240 and x in [0, 500] stays within 1.1e-12 of max(1, |L_n|) of a
+    40-digit recurrence.  Arrays of 1 to 256 points reuse the rows of earlier
+    calls on the same points and get a read-only array, a view of the stored
+    table where there is one; copy it to write into it.  Scalars, empty arrays
+    and larger grids get a fresh, writable array.
     """
     n_max = _check_order("n_max", n_max)
     alpha = family.alpha
@@ -163,7 +169,7 @@ def laguerre_eval_all(family: LaguerreFamily, n_max: int, x):
         x = float(xa)
         vals = [1.0, 1.0 + alpha - x][: n_max + 1]
         for n in range(1, n_max):
-            vals.append(((2 * n + 1 + alpha - x) * vals[n] - (n + alpha) * vals[n - 1]) / (n + 1))
+            vals.append(((2 * n + 1 + alpha - x) * vals[n] - (n + alpha) * vals[n - 1]) * (1.0 / (n + 1)))
         return np.array(vals)
     return _table(alpha, n_max, xa.reshape(-1)).reshape((n_max + 1,) + xa.shape)
 

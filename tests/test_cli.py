@@ -166,6 +166,20 @@ class TestSolveCommand:
         _, crows = read_csv(tmp_path / "coeffs.csv")
         assert any(float(r[6]) > 1e-12 for r in crows)
 
+    def test_worst_tolerance_includes_the_norm_integrals(self, tmp_path, capsys):
+        # u = x does not decay, so both norm integrals stop at the cap (0.75 and
+        # 0.50) while every moment reaches TOL; the line names the worst of all.
+        code = main(["solve", "--f-expr", "exp(-x)", "--u-expr", "x", "--du-expr", "1",
+                     "--nmax", "3", "--out-dir", str(tmp_path)])
+        assert code == 3
+        _, rows = read_csv(tmp_path / "coeffs.csv")
+        assert all(float(r[6]) <= 1e-12 for r in rows)
+        quad_lines = [s for s in capsys.readouterr().out.splitlines() if "quadrature:" in s]
+        assert quad_lines == [
+            "  quadrature: worst achieved tolerance 7.549e-01 "
+            "(NOT converged at cap: norm integral u_sq_over_x missed TOL 1e-12)"
+        ]
+
     def test_config_errors(self, tmp_path):
         out = ["--out-dir", str(tmp_path)]
         assert main(["solve"] + out) == 2

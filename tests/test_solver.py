@@ -130,6 +130,19 @@ def oracle_deriv(basis, uhat, n, x):
         return float((total_s * (1 - x / 2) + total_ds * x) * mpmath.exp(-x / 2))
 
 
+def oracle_sum(basis, uhat, n, x):
+    """partial_sum at one point in 40-digit arithmetic from the same a_k and uhat_k."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        lag1 = _mp_laguerre_all(1, n, x)
+        s = mpmath.mpf(1)
+        total = mpmath.mpf(float(uhat[0]))
+        for k in range(1, n + 1):
+            s = lag1[k] - mpmath.mpf(float(basis.a[k - 1])) * s
+            total += mpmath.mpf(float(uhat[k])) * s
+        return float(total * x * mpmath.exp(-x / 2))
+
+
 def reference_clenshaw(alpha, c, x):
     """The general-alpha Reinsch sweep for sum_k c_k L_k^{(alpha)}(x); at alpha = 0 it is
     the bit reference for solver._clenshaw."""
@@ -138,7 +151,7 @@ def reference_clenshaw(alpha, c, x):
     for k in range(len(c) - 1, -1, -1):
         t = x + (1.0 - alpha) / (k + 2)
         t *= b
-        t /= k + 1
+        t *= 1.0 / (k + 1)
         d *= (k + 1 + alpha) / (k + 2)
         d -= t
         d += c[k]
@@ -489,6 +502,23 @@ class TestPartialSums:
     def test_rejects_out_of_range_order(self, exp_solution):
         with pytest.raises(ValueError):
             partial_sum(exp_solution, 21, 1.0)
+
+    # The bound is twice the worst error of the same cases, seeds 0-9, with the
+    # table recurrence dividing by n+1 (9.6e-15 of max|ref|, at n = 200, lam = 1e3).
+    # x stays below 500, far from the NaN onset of the n = 200 table at x ~ 2,746.
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_coefficients_match_mpmath_oracle(self, exp_solution, n, lam, seed):
+        rng = np.random.default_rng([n, seed])
+        basis = sobolev_basis(lam, n)
+        uhat = rng.standard_normal(n + 1)
+        sol = dataclasses.replace(exp_solution, basis=basis, uhat=uhat)
+        fixed = [0.0, 1e-4, 1e-2, 0.5, 3.0, 17.0, 60.0, 200.0, 500.0]
+        x = np.concatenate([fixed, rng.uniform(0.0, 500.0, 8)])
+        ref = np.array([oracle_sum(basis, uhat, n, xi) for xi in x])
+        got = partial_sum(sol, n, x)
+        assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
 
 
 class TestOrderArguments:

@@ -102,6 +102,16 @@ class TestSolveCommand:
         for row, expected in zip(rows, fixture):
             assert float(row[1]) == pytest.approx(expected, rel=1e-6)
 
+    def test_grid_of_several_blocks(self, tmp_path):
+        # 20,001 points are three blocks of partial_sum's S table; the CSV keeps every value.
+        assert main(["solve", "--problem", "exp-decay", "--nmax", "20", "--count", "20001",
+                     "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "solution.csv")
+        grid = np.linspace(0.0, 20.0, 20001)
+        expected = partial_sum(solve(builtin_problem("exp-decay"), 20), 20, grid)
+        assert [float(r[0]) for r in rows] == grid.tolist()
+        assert [float(r[1]) for r in rows] == expected.tolist()
+
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):

@@ -521,6 +521,68 @@ class TestPartialSums:
         assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
 
 
+def one_table_sum(sol, n, x):
+    """partial_sum from one (n+1) x x.size S table: the bit reference up to 8,192 points."""
+    xa = np.asarray(x, dtype=float)
+    return np.tensordot(sol.uhat[: n + 1], sobolev_eval_all(sol.basis, n, xa), axes=(0, 0)) * xa * np.exp(-xa / 2.0)
+
+
+class TestPartialSumBlocks:
+    """partial_sum sums grids of more than 8,192 points in blocks; smaller grids in one table."""
+
+    @pytest.fixture(params=[20, 200])
+    def order(self, request):
+        n = request.param
+        return request.getfixturevalue("exp_solution" if n == 20 else "solution_200"), n
+
+    def test_one_block_is_the_one_table_sum(self, order):
+        sol, n = order
+        x = np.linspace(0.0, 500.0, 8192)
+        assert np.array_equal(partial_sum(sol, n, x), one_table_sum(sol, n, x))
+
+    # The blocks' gemv calls may group the sum differently from one table's: the last bit moves.
+    @pytest.mark.parametrize("size", [8193, 16_385, 20_000])
+    def test_blocks_match_the_one_table_sum(self, order, size):
+        sol, n = order
+        x = np.linspace(0.0, 500.0, size)
+        ref = one_table_sum(sol, n, x)
+        assert np.max(np.abs(partial_sum(sol, n, x) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.linspace(0.0, 60.0, 12_000).reshape(3, 4000), np.linspace(0.0, 60.0, 40_001)[::2],
+         np.empty(0), np.empty((2, 0))],
+        ids=["2d", "strided", "empty", "empty-2d"],
+    )
+    def test_shape_is_kept(self, exp_solution, x):
+        got = partial_sum(exp_solution, 20, x)
+        ref = one_table_sum(exp_solution, 20, x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15 * np.max(np.abs(ref), initial=0.0)
+
+    @pytest.mark.parametrize("x", [1.5, np.float64(1.5), np.array(1.5)], ids=["float", "numpy", "0-d"])
+    def test_scalar_gives_a_float(self, exp_solution, x):
+        got = partial_sum(exp_solution, 20, x)
+        assert type(got) is float and got == float(one_table_sum(exp_solution, 20, x))
+
+    @pytest.mark.parametrize("size", [8193, 16_385])
+    def test_blocks_stay_out_of_the_table_store(self, exp_solution, size):
+        before = set(laguerre._TABLES)
+        partial_sum(exp_solution, 20, np.linspace(0.0, 60.0, size))
+        assert set(laguerre._TABLES) == before
+
+    def test_nan_in_the_last_block_is_refused(self, exp_solution):
+        x = np.linspace(0.0, 60.0, 16_385)
+        x[-1] = np.nan
+        with pytest.raises(ValueError, match="^evaluation point must be finite$"):
+            partial_sum(exp_solution, 20, x)
+
+    @pytest.mark.parametrize("n", [20.0, np.float64(20.0), True])
+    def test_non_integer_order_is_refused_by_name(self, exp_solution, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 20\]"):
+            partial_sum(exp_solution, n, np.linspace(0.0, 60.0, 16_385))
+
+
 class TestOrderArguments:
     """Orders are integers: floats and bools are refused by name, numpy integers accepted."""
 
@@ -1024,6 +1086,12 @@ class TestEvaluationMemory:
     def test_sobolev_table_is_built_once(self, solution_200):
         peak = traced_peak_bytes(sobolev_eval_all, solution_200.basis, 200, self.x)
         assert peak <= 1.25 * 201 * self.x.size * 8
+
+    @pytest.mark.parametrize("size", [20_000, 40_001])
+    def test_value_holds_one_block_of_the_table(self, solution_200, size):
+        # At most one 8,192-point block of the S table at a time, beside four len(x) vectors.
+        x = np.linspace(0.0, 500.0, size)
+        assert traced_peak_bytes(partial_sum, solution_200, 200, x) <= 1.25 * 201 * 8192 * 8 + 4 * size * 8
 
 
 class TestInstrumentation:

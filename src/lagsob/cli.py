@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="potential strength lambda > 0 (default %(default)s)")
         if nmax:
-            p.add_argument("--nmax", "--n-max", dest="n_max", type=int, default=DEFAULT_N_MAX,
+            p.add_argument("--nmax", dest="n_max", type=int, default=DEFAULT_N_MAX,
                            help="highest basis index (default %(default)s)")
         p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path.cwd(),
                        help="output directory (default: the working directory)")

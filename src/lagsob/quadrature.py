@@ -2,9 +2,9 @@
 
 The policy's rules (alpha 0 and 1 at its four sizes) ship in rules.npz.  Any
 other rule is built with numpy alone: eigenvalues of the Jacobi matrix
-(diagonal 2k+alpha+1, off-diagonal sqrt(k(k+alpha))) polished by one Newton
-step on L_m, and Christoffel weights summed in log space (Gautschi,
-Orthogonal Polynomials, 2004); many sizes of one alpha share both sweeps.
+(diagonal 2k+alpha+1, off-diagonal sqrt(k(k+alpha))), then a Newton step on L_m,
+then Christoffel weights in log space (Gautschi, Orthogonal Polynomials, 2004),
+from one sweep function that many sizes of one alpha share.
 
 Log-weights are kept alongside the plain weights: for large rules the
 trailing weights underflow double precision (w ~ e^{-x} at nodes near 1000),
@@ -62,9 +62,9 @@ class QuadratureRule:
         return w
 
 
-def _laguerre_sweep(alpha: float, m: np.ndarray, x: np.ndarray, christoffel: bool = True):
+def _laguerre_sweep(alpha: float, m: np.ndarray, x: np.ndarray):
     """L_m(x) and D_m(x) = L_m(x) - L_{m-1}(x), both times a power of two per point,
-    and if asked log sum_{k<m} c_k L_k(x)^2 with c_k = k! Gamma(alpha+1) / Gamma(k+alpha+1),
+    and log sum_{k<m} c_k L_k(x)^2 with c_k = k! Gamma(alpha+1) / Gamma(k+alpha+1),
     for a degree m per point, non-increasing: the points running at step k are a prefix.
 
     The difference form (k+1) D_{k+1} = (k+alpha) D_k - x L_k cancels nothing near
@@ -76,8 +76,7 @@ def _laguerre_sweep(alpha: float, m: np.ndarray, x: np.ndarray, christoffel: boo
     c = 1.0
     for k, n in enumerate(np.searchsorted(-m, -np.arange(m[0]))):
         v, d, t = val[:n], diff[:n], total[:n]
-        if christoffel:
-            t += c * v * v
+        t += c * v * v
         d[:] = ((k + alpha) * d - x[:n] * v) / (k + 1)
         v += d
         c *= (k + 1) / (k + 1 + alpha)
@@ -85,12 +84,12 @@ def _laguerre_sweep(alpha: float, m: np.ndarray, x: np.ndarray, christoffel: boo
             e = np.frexp(np.maximum(np.abs(v), np.abs(d)))[1] - 1
             v[:], d[:], t[:] = np.ldexp(v, -e), np.ldexp(d, -e), np.ldexp(t, -2 * e)
             shift[:n] += e
-    return val, diff, np.log(total) + (2.0 * math.log(2.0)) * shift if christoffel else None
+    return val, diff, np.log(total) + (2.0 * math.log(2.0)) * shift
 
 
 def _christoffel_rules(alpha: float, sizes: list[int]) -> list[QuadratureRule]:
-    """Rules of the distinct sizes (largest first): one eigvalsh each, then one
-    Newton sweep and one Christoffel sweep over all their nodes together."""
+    """Rules of the distinct sizes (largest first): one eigvalsh each, then a Newton
+    step, then Christoffel weights, each one sweep over all their nodes together."""
     nodes = []
     for size in sizes:
         k = np.arange(1, size)
@@ -99,7 +98,7 @@ def _christoffel_rules(alpha: float, sizes: list[int]) -> list[QuadratureRule]:
         nodes.append(np.linalg.eigvalsh(jacobi))
     nodes, m = np.concatenate(nodes), np.repeat(sizes, sizes)
     # One Newton step on L_m, with x L_m' = m L_m - (m+alpha) L_{m-1} = (m+alpha) D_m - alpha L_m.
-    val, diff, _ = _laguerre_sweep(alpha, m, nodes, christoffel=False)
+    val, diff, _ = _laguerre_sweep(alpha, m, nodes)
     nodes -= nodes * val / ((m + alpha) * diff - alpha * val)
     if not np.all(nodes > 0.0):
         raise RuntimeError(f"nonpositive quadrature node for alpha={alpha}, m={m[np.argmin(nodes)]}")

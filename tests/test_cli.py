@@ -617,6 +617,19 @@ def test_negative_count_is_a_config_error(tmp_path, capsys, argv, flag):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "--problem", "exp-decay"], ["coeffs"], ["basis"], ["validate"]],
+    ids=["solve", "coeffs", "basis", "validate"],
+)
+def test_n_max_is_not_a_spelling_of_nmax(tmp_path, capsys, argv):
+    # --nmax has one spelling: argparse refuses --n-max before any file is written.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n-max", "5", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-max 5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize(
     "argv", [["solve", "--problem", "exp-decay"], ["coeffs"], ["basis"], ["validate"]],

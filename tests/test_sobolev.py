@@ -279,6 +279,18 @@ class TestAsymptotics:
         a = connection_recurrence(1.0, 10**4 + 1)
         assert abs(a[10**4] - connection_asymptotic(1.0, 10**4)) <= 5e-5
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0, 100.0])
+    def test_second_order_term_against_ratio(self, lam):
+        # a_n = 1 - 2 sqrt(lam/n) + (2 lam + 3/4)/n + O(n^{-3/2}): from n = 10^4 to 10^5
+        # its error falls by 10^{1.499..1.527}, and the first-order form's by 10^{0.985..0.999}.
+        a = connection_ratio(lam, 10**5 + 1)
+
+        def order(form):
+            return math.log10(abs(a[10**4] - form(10**4)) / abs(a[10**5] - form(10**5)))
+
+        assert 1.45 <= order(lambda n: 1.0 - 2.0 * math.sqrt(lam / n) + (2.0 * lam + 0.75) / n) <= 1.6
+        assert 0.95 <= order(lambda n: 1.0 - 2.0 * math.sqrt(lam / n)) <= 1.05
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_scaled_gap_approaches_limit(self, lam):
         a = connection_recurrence(lam, 10**4 + 1)

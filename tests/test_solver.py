@@ -72,6 +72,25 @@ G0_EXP_DECAY = 556.0 / 2197.0  # closed form of the first Laguerre moment
 UHAT0_EXP_DECAY = 0.16871491427704446
 
 
+def laplace_moments(p, j, n_max):
+    """(-d/dp)^j of (n+1)(p-1)^n / p^{n+2} for n = 0..n_max: the moment
+    int x^j e^{-(p-1/2)x} L_n^{(1)}(x) x e^{-x/2} dx, for Re p > 0 and p != 1."""
+    n = np.arange(n_max + 1)
+    total = 0.0
+    for k in range(j + 1):
+        # Leibniz: (-d/dp)^k (p-1)^n times (-d/dp)^{j-k} p^{-n-2}.
+        falling = np.prod([n - i for i in range(k)], axis=0)
+        rising = np.prod([n + 2 + i for i in range(j - k)], axis=0)
+        total = total + math.comb(j, k) * (-1) ** k * falling * rising / ((p - 1.0) ** k * p ** (j - k))
+    return (n + 1) * ((p - 1.0) / p) ** n / p**2 * total
+
+
+def exp_decay_moments(n_max):
+    """Exact g(0)..g(n_max) of exp-decay, whose f is Re[e^{-(1-i)x}((3-2i) + 2i x)]."""
+    p = 1.5 - 1.0j
+    return ((3.0 - 2.0j) * laplace_moments(p, 0, n_max) + 2.0j * laplace_moments(p, 1, n_max)).real
+
+
 @pytest.fixture(scope="module")
 def exp_solution():
     return solve(builtin_problem("exp-decay"), n_max=20)
@@ -323,6 +342,25 @@ class TestMoments:
 
             ref = mpmath.quad(integrand, [mpmath.mpf(int(b)) for b in np.linspace(0, 120, 13)] + [mpmath.inf])
         assert abs(exp_moments[n] - float(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 5, 37, 80])
+    def test_exact_moments_match_mpmath(self, n):
+        # Measured: at most 1.1e-14 relative (n = 80, where g = -4.19e-14).
+        with mpmath.workdps(40):
+            def integrand(x):
+                f = mpmath.exp(-x) * (3 * mpmath.cos(x) - 2 * (x - 1) * mpmath.sin(x))
+                return f * mpmath.laguerre(n, 1, x) * x * mpmath.exp(-x / 2)
+
+            ref = mpmath.quad(integrand, [mpmath.mpf(int(b)) for b in np.linspace(0, 120, 13)] + [mpmath.inf])
+        assert exp_decay_moments(n)[n] == pytest.approx(float(ref), rel=5e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n_max, bound", [(20, 2e-14), (100, 6e-13), (200, 1.4e-12)])
+    def test_exp_decay_moments_against_the_closed_form(self, n_max, bound):
+        # Measured: 1.09e-14, 3.19e-13 and 7.30e-13 of max|g|.  At n_max = 100, 40 moments
+        # are flagged as capped, yet every one is this close to the exact value.
+        exact = exp_decay_moments(n_max)
+        g = _moments(builtin_problem("exp-decay").rhs, n_max)[0]
+        assert np.max(np.abs(g - exact)) <= bound * np.max(np.abs(exact))
 
 
 class TestTableReuse:

@@ -142,16 +142,16 @@ def run_solve(args) -> int:
         _write_csv(out / "convergence.csv", "n,eps_n,log10_eps_n", range(args.n_max + 1), eps,
                    [math.log10(e) if e > 0.0 else "-inf" for e in eps])
 
-    quad_ok = sol.quad_converged and all(r.converged for r in sol.norm_report.values())
+    # The exit code and the worst-tolerance line both read the moments g_n and the norm integrals.
+    reports = {f"moment g_{n}": r for n, r in enumerate(sol.quad_report)}
+    reports.update((f"norm integral {k}", r) for k, r in sol.norm_report.items())
+    quad_ok = all(r.converged for r in reports.values())
+    where, worst = max(reports.items(), key=lambda kr: kr[1].achieved_tol)
 
     print(f"problem {problem.label}: lam={problem.lam:g}, n_max={args.n_max}")
     print(f"  {_ends('uhat', sol.uhat, '.12g', args.n_max)}")
     if eps is not None:
         print(f"  {_ends('eps', eps, '.6e', args.n_max)}")
-    # The worst of every integral quad_ok reads: the moments g_n and the norm integrals.
-    reports = {f"moment g_{n}": r for n, r in enumerate(sol.quad_report)}
-    reports.update((f"norm integral {k}", r) for k, r in sol.norm_report.items())
-    where, worst = max(reports.items(), key=lambda kr: kr[1].achieved_tol)
     print(f"  quadrature: worst achieved tolerance {worst.achieved_tol:.3e} "
           + ("(converged)" if quad_ok else f"(NOT converged at cap: {where} missed TOL {TOL:g})"))
     print(f"  wrote {out / 'coeffs.csv'}, {out / 'solution.csv'}"
@@ -212,14 +212,14 @@ def run_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lagsob",
+        prog="lagsob", allow_abbrev=False,
         description="Laguerre-Sobolev basis and diagonalized spectral solver for "
         "-u'' + (lambda/x) u = f on (0, inf)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help, grid=False, nmax=True):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="potential strength lambda > 0 (default %(default)s)")

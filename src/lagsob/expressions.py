@@ -192,10 +192,10 @@ def parse_expression(text: str) -> Expr:
 
 
 def _eval(expr: Expr, x: np.ndarray) -> np.ndarray:
-    """Evaluate each node once over the whole array, as a scalar walk would per point.
+    """Evaluate each node once over the whole array.
 
-    Calls and '^' go elementwise through math, since numpy's own exp, power, tan
-    and log differ in the last bit; a point raises exactly where the walk would.
+    Calls and '^' go through math per point: libm's bits on every CPU (numpy's exp,
+    power, tan and log differ in the last bit), and an error names the first failing point.
     """
     if isinstance(expr, Num):
         return np.full_like(x, expr.value)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -471,6 +472,24 @@ class TestEnvironment:
         assert proc.stderr.startswith("error: cannot write ") and str(out_dir) in proc.stderr
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Each command of the sh block under README's "Command line" heading, as an argv."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "lagsob" for argv in commands)
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_commands_run(tmp_path, monkeypatch, argv):
+    # The documented commands, as written, with the working directory as the default --out-dir.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
+
+
 def _fmt(v):
     return f"{v:.17g}"
 
@@ -617,16 +636,40 @@ def test_negative_count_is_a_config_error(tmp_path, capsys, argv, flag):
     assert not any(tmp_path.iterdir())
 
 
+# (subcommands, a spelling the docs do not give): --n-max, and strict prefixes
+# that argparse would otherwise expand to --nmax, --out-dir, --lambda, --f-expr,
+# --problem, --x-max and --count.
+SECOND_SPELLINGS = [
+    ("solve coeffs basis validate", "--n-max 5"),
+    ("solve coeffs basis", "--nm 3"),
+    ("solve coeffs basis validate", "--out elsewhere"),
+    ("solve coeffs basis validate", "--lam 2"),
+    ("solve", "--f x"),
+    ("solve", "--prob exp-decay"),
+    ("solve basis", "--x-ma 5"),
+    ("solve basis", "--co 5"),
+]
+FULL_SPELLINGS = [("solve", "--nmax=3"), ("coeffs", "--nmax=3"), ("basis", "--count=5"),
+                  ("validate", "--lambda=2")]
+
+
 @pytest.mark.parametrize(
-    "argv", [["solve", "--problem", "exp-decay"], ["coeffs"], ["basis"], ["validate"]],
-    ids=["solve", "coeffs", "basis", "validate"],
+    "command, spelling, refused",
+    [pytest.param(c, s, True, id=f"{c}{s.split()[0]}") for cs, s in SECOND_SPELLINGS for c in cs.split()]
+    + [pytest.param(c, s, False, id=f"{c}{s}") for c, s in FULL_SPELLINGS],
 )
-def test_n_max_is_not_a_spelling_of_nmax(tmp_path, capsys, argv):
-    # --nmax has one spelling: argparse refuses --n-max before any file is written.
+def test_no_option_has_a_second_spelling(tmp_path, capsys, command, spelling, refused):
+    # Options are spelled in full: argparse refuses any other spelling before a file
+    # is written, and the full one still parses in --flag=value form.
+    argv = [command, *(["--problem", "exp-decay"] if command == "solve" else []), *spelling.split(),
+            "--out-dir", str(tmp_path)]
+    if not refused:
+        assert main(argv) == 0
+        return
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--n-max", "5", "--out-dir", str(tmp_path)])
+        main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --n-max 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: {spelling}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .laguerre import _check_finite_scalar_or_array, _check_order, laguerre_eval_all
+from .laguerre import _CACHE_MAX_POINTS, _check_finite_scalar_or_array, _check_order, laguerre_eval_all
 from .quadrature import (
     TOL,
     AdaptiveResult,
@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 20
-# partial_sum sums wider grids in near-equal blocks of at most this many points (~6(n+1) numpy calls
-# each).  Traced peak and time at n = 200 on 20k points, by width: one table 32.8 MB, 9.0 ms; 8,192:
-# 10.9 MB, 10.5 ms; 4,096: 6.6 MB, 11.9 ms; 2,048: 3.5 MB, 18.4 ms (best of 60, 2-core Xeon).
-_BLOCK_POINTS = 8192
 
 
 @dataclass
@@ -157,19 +153,28 @@ def solve(problem: BVProblem, n_max: int = DEFAULT_N_MAX) -> SpectralSolution:
 def partial_sum(sol: SpectralSolution, n: int, x):
     """Value of the order-n approximant sum_k uhat_k S_k(x) x e^{-x/2}.
 
-    The factor x e^{-x/2} enforces both boundary conditions identically.
-    Memory: at most (n+1) x _BLOCK_POINTS floats of S table, plus four len(x) vectors.
+    The factor x e^{-x/2} enforces both boundary conditions identically.  Up to
+    laguerre._CACHE_MAX_POINTS points (scalars and empty arrays too) uhat is dotted with the
+    S table, whose rows the table store keeps.  Wider grids get no table: L_k^{(1)} = sum_{j<=k}
+    L_j turns sum_k c_k L_k^{(1)} into one Clenshaw sweep of the tail sums C_j = sum_{k>=j} c_k.
+    (Folding x into the series would sum coefficients that cancel exactly at x = 0.)
     """
     xa = np.asarray(x, dtype=float)
-    acc = np.empty(xa.shape)
-    blocks = ([(xa, acc)] if xa.size <= _BLOCK_POINTS else
-              zip(*(np.array_split(v.reshape(-1), -(-xa.size // _BLOCK_POINTS)) for v in (xa, acc))))
-    for part, dest in blocks:
-        s = sobolev_eval_all(sol.basis, n, part)
-        dest[...] = np.tensordot(sol.uhat[: len(s)], s, axes=(0, 0))
-        del s  # before the next block's table is built
-    out = acc * xa * np.exp(-xa / 2.0)
+    if xa.size <= _CACHE_MAX_POINTS:
+        s = sobolev_eval_all(sol.basis, n, xa)
+        acc = np.tensordot(sol.uhat[: len(s)], s, axes=(0, 0))
+    else:
+        acc = _clenshaw(np.cumsum(_l1_coeffs(sol, n)[::-1])[::-1], _check_finite_scalar_or_array(xa))
+    out = np.multiply(acc, xa, out=acc) * np.exp(-xa / 2.0)
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _l1_coeffs(sol: SpectralSolution, n: int):
+    """c with sum_{k<=n} uhat_k S_k = sum_{k<=n} c_k L_k^{(1)}: L_k^{(1)} = S_k + a_{k-1} S_{k-1}
+    read backwards, c_n = uhat_n and c_k = uhat_k - a_k c_{k+1}, one _connect call."""
+    c = sol.uhat[: _check_order("n", n, hi=sol.n_max) + 1].copy()
+    _connect(sol.basis.a[: len(c) - 1][::-1], c[::-1])
+    return c
 
 
 def _clenshaw(c, x):
@@ -204,19 +209,14 @@ def _clenshaw(c, x):
 def partial_sum_deriv(sol: SpectralSolution, n: int, x):
     """Derivative of the order-n approximant, as one L^{(0)} series.
 
-    The connection L_k^{(1)} = S_k + a_{k-1} S_{k-1}, read backwards, gives
-    sum_k uhat_k S_k = sum_k c_k L_k^{(1)} with c_n = uhat_n and
-    c_k = uhat_k - a_k c_{k+1}.  With x L_k^{(1)} = (k+1)(L_k - L_{k+1}) and
-    L_j' = -sum_{i<j} L_i (L = L^{(0)}) the derivative of
-    x e^{-x/2} sum_k c_k L_k^{(1)} telescopes to e^{-x/2} sum_{i<=n+1} h_i L_i
-    with h_i = ((i+1) c_i + i c_{i-1}) / 2, c_{-1} = c_{n+1} = 0: one connection
-    sweep on the reversed c and one Clenshaw sweep, and no (n+1) x len(x) table.
+    With c from _l1_coeffs, x L_k^{(1)} = (k+1)(L_k - L_{k+1}) and L_j' = -sum_{i<j} L_i
+    (L = L^{(0)}), the derivative of x e^{-x/2} sum_k c_k L_k^{(1)} telescopes to
+    e^{-x/2} sum_{i<=n+1} h_i L_i with h_i = ((i+1) c_i + i c_{i-1}) / 2,
+    c_{-1} = c_{n+1} = 0: one Clenshaw sweep, and no (n+1) x len(x) table.
     """
-    n = _check_order("n", n, hi=sol.n_max)
+    c = _l1_coeffs(sol, n)
     xa = _check_finite_scalar_or_array(x)
-    c = sol.uhat[: n + 1].copy()
-    _connect(sol.basis.a[:n][::-1], c[::-1])
-    c *= np.arange(1, n + 2) / 2.0
+    c *= np.arange(1, len(c) + 1) / 2.0
     h = np.append(c, 0.0)
     h[1:] += c
     out = _clenshaw(h, xa) * np.exp(-xa / 2.0)

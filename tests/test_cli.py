@@ -103,8 +103,8 @@ class TestSolveCommand:
         for row, expected in zip(rows, fixture):
             assert float(row[1]) == pytest.approx(expected, rel=1e-6)
 
-    def test_grid_of_several_blocks(self, tmp_path):
-        # 20,001 points are three blocks of partial_sum's S table; the CSV keeps every value.
+    def test_grid_wider_than_the_table_store(self, tmp_path):
+        # 20,001 points are one Clenshaw sweep in partial_sum, no S table; the CSV keeps every value.
         assert main(["solve", "--problem", "exp-decay", "--nmax", "20", "--count", "20001",
                      "--out-dir", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "solution.csv")
@@ -761,3 +761,15 @@ def test_a_cold_process_writes_the_bytes_of_a_warm_table_store(tmp_path):
     assert main(argv + [str(tmp_path / "warm")]) == 3
     for name in ("coeffs", "solution", "convergence"):
         assert (tmp_path / "warm" / f"{name}.csv").read_bytes() == (tmp_path / "cold" / f"{name}.csv").read_bytes()
+
+
+def test_cli_module_launches_like_the_package(tmp_path):
+    # python -m lagsob.cli runs cli.main through its __main__ guard, beside lagsob/__main__.py.
+    argv = ["solve", "--problem", "exp-decay", "--nmax", "5", "--out-dir"]
+    codes = {m: run_fresh(tmp_path, "-m", m, *argv, m).returncode for m in ("lagsob", "lagsob.cli")}
+    assert codes == {"lagsob": 0, "lagsob.cli": 0}
+    names = sorted(p.name for p in (tmp_path / "lagsob").iterdir())
+    assert names == ["coeffs.csv", "convergence.csv", "solution.csv"]
+    assert sorted(p.name for p in (tmp_path / "lagsob.cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "lagsob.cli" / name).read_bytes() == (tmp_path / "lagsob" / name).read_bytes()

@@ -4,9 +4,6 @@ The data f is chosen so that u(x) = x cos(x) e^{-x}.  Every Fourier-Sobolev
 coefficient comes from one weighted integral of f plus a scalar recurrence;
 the squared energy-norm errors eps_n then drop at a spectral rate, reaching
 about 6.4e-8 by n = 20.
-
-Run with matplotlib installed to see the error curve; otherwise the table is
-printed alone.
 """
 
 import numpy as np
@@ -18,10 +15,8 @@ sol = solve(problem, n_max=20)
 
 print("Fourier-Sobolev coefficients uhat_n and squared errors eps_n:")
 print(f"  {'n':>3} {'uhat_n':>22} {'eps_n':>14} {'log10 eps_n':>12}")
-eps = []
 for n in range(21):
     e = sobolev_error(sol, n)
-    eps.append(e)
     print(f"  {n:>3} {sol.uhat[n]:>22.15e} {e:>14.6e} {np.log10(e):>12.4f}")
 
 grid = np.linspace(0.0, 20.0, 401)
@@ -29,22 +24,3 @@ exact = problem.exact(grid)
 for n in (6, 9, 12, 15, 20):
     err = np.max(np.abs(partial_sum(sol, n, grid) - exact))
     print(f"max |S_{n}(u,x) - u(x)| on [0, 20]: {err:.3e}")
-
-try:
-    import matplotlib.pyplot as plt
-except ImportError:
-    print("\nmatplotlib not installed; skipping the plots")
-else:
-    fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4))
-    ax1.plot(grid, exact, "k-", label="u(x)")
-    for n in (6, 9, 12, 15):
-        ax1.plot(grid, partial_sum(sol, n, grid), "--", label=f"n = {n}")
-    ax1.set_xlabel("x")
-    ax1.legend()
-    ax1.set_title("partial sums vs exact solution")
-    ax2.semilogy(range(21), eps, "o-")
-    ax2.set_xlabel("n")
-    ax2.set_ylabel("eps_n")
-    ax2.set_title("squared energy-norm error")
-    fig.tight_layout()
-    plt.show()

@@ -67,9 +67,7 @@ def _table(alpha: float, n_max: int, xf: np.ndarray) -> np.ndarray:
     expression since 2n+1 is exact, then finished in place as
     ((2n+1+alpha - x) L_n - (n+alpha) L_{n-1}) * (1.0 / (n+1)); row 1 is
     final once seeded.  The reciprocal is one Python float per row, because a
-    vector division costs about three vector multiplies: at n_max = 200 on
-    2k/11k/20k points the table takes 1.27/3.46/7.23 ms, against
-    1.40/4.65/9.36 ms when each row divided by n+1 (best of 15, 2-core Xeon).
+    vector division costs about three vector multiplies.
     """
     rows = np.empty((n_max + 1, xf.size))
     rows[0] = 1.0

@@ -125,7 +125,11 @@ class SobolevBasis:
         object.__setattr__(self, "lam", _check_lam(self.lam))
         a = _checked_connection(self.a)
         n = np.arange(a.size, dtype=float)
-        s = (n + 1.0) * (n + 2.0) / (4.0 * a)
+        with np.errstate(over="ignore"):  # s(n) ~ (n+1) lam leaves double range from lam ~ 1e306
+            s = (n + 1.0) * (n + 2.0) / (4.0 * a)
+        if np.isinf(s).any():  # refused: eps = norm - 0 * inf would be NaN; argmax is the first inf
+            raise ValueError(f"lambda={self.lam!r} is too large for n_max={a.size - 1}: "
+                             f"s({s.argmax()}) overflows")
         s.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "s", s)

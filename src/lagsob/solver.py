@@ -81,10 +81,6 @@ class SpectralSolution:
     def n_max(self) -> int:
         return self.basis.n_max
 
-    @property
-    def quad_converged(self) -> bool:
-        return all(r.converged for r in self.quad_report)
-
 
 def _moments(rhs: Callable, n_max: int):
     """The lam-free moments g(0)..g(n_max) of rhs; returns (g, report, rhs evaluations).
@@ -188,11 +184,9 @@ def _clenshaw(c, x):
 
     seven in-place operations per step on three arrays of x's shape, none of
     them a division: 1/(k+1) is one Python float per step, since a vector
-    division costs about three vector multiplies.  At n = 200 on 2k/11k/20k
-    points a sweep takes 1.19/3.85/6.61 ms, against 1.41/5.12/8.60 ms when it
-    divided by k+1 (best of 15, 2-core Xeon).  Near x = 0 the three-term form
-    multiplies b_{k+1} by a factor close to 2 and errs by up to ~7e-13 of the
-    sum's scale at n = 200; here that factor is small.
+    division costs about three vector multiplies.  Near x = 0 the three-term
+    form multiplies b_{k+1} by a factor close to 2 and errs by up to ~7e-13 of
+    the sum's scale at n = 200; here that factor is small.
     """
     b, d, t = (np.zeros_like(x) for _ in range(3))
     for k, ck in zip(range(len(c) - 1, -1, -1), c[::-1].tolist()):
@@ -254,7 +248,8 @@ def sobolev_error(sol: SpectralSolution, n: int) -> float:
     numerically nonincreasing.  ||u||^2 is known only to TOL * (1 + ||u||^2),
     the adaptive integrator's bar: a value below 0 within it is rounding and
     reads 0 silently; one below it (capped moments, an unconverged norm
-    integral) warns once and is still clamped to 0.
+    integral) warns once and is still clamped to 0.  A norm integral stopped at
+    the cap can also inflate eps_n silently; sol.norm_report then shows it.
     """
     n = _check_order("n", n, hi=sol.n_max)
     if sol._eps is None:

@@ -309,6 +309,17 @@ class TestBasisCommand:
         assert header == ["x", "S0", "S1", "S2", "S3", "S4"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("lam, n_max", [("1e-15", 4), ("1", 30), ("1000", 30)])
+    def test_every_coefficient_is_finite(self, tmp_path, lam, n_max):
+        # At lambda = 1e-15 the ratio sweep keeps every a_n below 1.  --nmax 30, the
+        # coefficient-mode limit, runs sobolev_coeffs' connection over its largest table.
+        assert main(["basis", "--lambda", lam, "--nmax", str(n_max), "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "basis_coeffs.csv")
+        assert len(rows) == n_max + 1
+        coeffs = [float(cell) for row in rows for cell in row[1:] if cell]
+        assert len(coeffs) == (n_max + 1) * (n_max + 2) // 2
+        assert all(math.isfinite(c) for c in coeffs)
+
     def test_rejects_large_nmax(self, tmp_path, capsys):
         assert main(["basis", "--nmax", "31", "--out-dir", str(tmp_path)]) == 2
         assert "coefficient mode" in capsys.readouterr().err
@@ -329,6 +340,7 @@ class TestValidateCommand:
     @example(log_lam=math.log10(60.0))
     @example(log_lam=math.log10(200.0))
     @example(log_lam=9.0)
+    @example(log_lam=-15.0)
     def test_every_suite_passes_across_lambda(self, log_lam):
         # Past lam = 10 the generating-function suite scales omega by 10/lam,
         # so one depth of 700 holds everywhere, and no suite may warn.  With a
@@ -338,6 +350,28 @@ class TestValidateCommand:
             warnings.simplefilter("error")
             results = lagsob.validation.run_suites(10.0**log_lam)
         assert [name for name, ok, _ in results if not ok] == [], results
+
+    @pytest.mark.parametrize(
+        "lam, failing",
+        [
+            ("1e306", ["sobolev-generating-function"]),
+            ("1e307", ["alternating-sum", "sobolev-generating-function"]),
+            ("4.4e307", ["sobolev-gram", "alternating-sum", "sobolev-generating-function"]),
+        ],
+    )
+    def test_top_of_the_lambda_range_fails_by_name(self, capsys, lam, failing):
+        # s(n) ~ (n+1) lam leaves double range, so the suites whose basis reaches that n
+        # fail on the basis's ValueError, with no overflow warning and no NaN detail.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--lambda", lam]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        rows = [line.split(None, 2) for line in out.splitlines()]
+        assert [name for name, _, _ in rows] == SUITE_NAMES
+        assert [name for name, verdict, _ in rows if verdict == "FAIL"] == failing
+        assert all(verdict == "PASS" or "is too large for n_max=" in detail for _, verdict, detail in rows)
+        assert err == f"validation failed: {', '.join(failing)}\n"
 
     def test_fault_injection_trips_gram_suite(self, capsys, monkeypatch):
         # a_0 off by 1e-6; the basis derives its norms from the shifted sequence.
@@ -718,6 +752,14 @@ def test_lambda_whose_four_lambda_overflows_is_one_error_line(tmp_path, capsys, 
     assert main(argv + ["--lambda", "1e308", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: potential strength must satisfy lam > 0 and 4*lam finite, got 1e+308\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["basis"], ["solve", "--f-expr", "exp(-x)"]], ids=["basis", "solve"])
+def test_lambda_whose_norms_overflow_is_one_error_line(tmp_path, capsys, argv):
+    # s(n) ~ (n+1) lam passes DBL_MAX at n = 17 for lam = 1e307; coeffs builds no basis.
+    assert main(argv + ["--lambda", "1e307", "--nmax", "20", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: lambda=1e+307 is too large for n_max=20: s(17) overflows\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -241,6 +241,15 @@ class TestSobolevBasisChecks:
         with pytest.raises(ValueError, match="lam > 0"):
             sobolev_basis(lam, -1)
 
+    def test_refuses_a_norm_that_overflows(self):
+        # s(n) ~ (n+1) lam leaves double range at n = 179 for lam = 1e306; an infinite s
+        # would turn eps = norm - uhat^2 s into NaN, so the basis names lam and n_max.
+        assert np.isfinite(sobolev_basis(1e306, 178).s).all()
+        with pytest.raises(ValueError, match=r"^lambda=1e\+306 is too large for n_max=700: s\(179\) overflows$"):
+            sobolev_basis(1e306, 700)
+        with pytest.raises(ValueError, match=r"n_max=1: s\(1\) overflows$"):
+            SobolevBasis(lam=1.0, a=[0.3, 1e-310])
+
     def test_rejects_empty_connection(self):
         with pytest.raises(ValueError, match="at least a_0"):
             SobolevBasis(lam=1.0, a=[])

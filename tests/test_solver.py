@@ -244,7 +244,7 @@ class TestSolve:
         assert exp_solution.uhat[0] == pytest.approx(UHAT0_EXP_DECAY, rel=1e-10)
 
     def test_exp_decay_quadrature_converged(self, exp_solution):
-        assert exp_solution.quad_converged
+        assert all(r.converged for r in exp_solution.quad_report)
         assert max(r.achieved_tol for r in exp_solution.quad_report) <= 1e-12
 
     def test_laguerre_mode_data_isolates_one_index(self):
@@ -346,6 +346,40 @@ class TestMoments:
         exact = exp_decay_moments(n_max)
         g = _moments(builtin_problem("exp-decay").rhs, n_max)[0]
         assert np.max(np.abs(g - exact)) <= bound * np.max(np.abs(exact))
+
+    # f = sum_j c_j x^k_j e^{-q_j x} {cos, sin}(w_j x): each term's moments are the Re or Im
+    # part of laplace_moments at p = q + 1/2 - i w, and q >= 1 keeps p away from 1.
+    # |c| >= 0.1: the rule-size test TOL * (1 + |value|) is absolute for tiny data, so at
+    # c ~ 1e-20 every moment stops at m = 64, flagged converged, and errs by O(1) of scale.
+    TERM = st.tuples(
+        st.floats(-2.0, -0.1) | st.floats(0.1, 2.0),
+        st.integers(0, 2),
+        st.floats(1.0, 3.0),
+        st.floats(0.0, 1.5),
+        st.booleans(),
+    )
+
+    @pytest.mark.parametrize("n_max, bound", [(20, 5e-14), (100, 1.4e-12)])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(terms=st.lists(TERM, min_size=1, max_size=3))
+    def test_moments_of_exponential_trigonometric_data(self, n_max, bound, terms):
+        # Scaled by sum_j |c_j| max_n |term j's moment|, so cancelling terms cannot shrink the bar.
+        # Measured worst over these draws: 1.46e-14 and 5.33e-13 (3.7e-14 and 6.9e-13 over 100
+        # uniform draws).  Outside q in [1, 3], w in [0, 1.5] the capped moments drift at
+        # n_max = 100: 3.4e-10 for q in [0.5, 2], 4.6e-12 for w in [0, 2], 1.2e-5 for w in [0, 3].
+        def rhs(x):
+            out = np.zeros_like(x)
+            for c, k, q, w, cos in terms:
+                out += c * x**k * np.exp(-q * x) * (np.cos(w * x) if cos else np.sin(w * x))
+            return out
+
+        exact, scale = np.zeros(n_max + 1), 0.0
+        for c, k, q, w, cos in terms:
+            m = laplace_moments(q + 0.5 - 1j * w, k, n_max)
+            exact += c * (m.real if cos else m.imag)
+            scale += abs(c) * np.max(np.abs(m))
+        g = _moments(rhs, n_max)[0]
+        assert np.max(np.abs(g - exact)) <= bound * scale
 
 
 class TestTableReuse:
@@ -820,7 +854,7 @@ class TestSobolevError:
 
 class TestRationalDecay:
     def test_quadrature_cap_is_reported_not_fatal(self, rational_solution):
-        assert not rational_solution.quad_converged
+        assert not all(r.converged for r in rational_solution.quad_report)
         capped = [r for r in rational_solution.quad_report if not r.converged]
         assert capped and all(r.m_used == 256 for r in capped)
         assert all(np.isfinite(r.achieved_tol) for r in rational_solution.quad_report)
